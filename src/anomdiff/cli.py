@@ -26,10 +26,15 @@ from .laws import MuVector, tabulate_density
 from .montecarlo import CompositionChain, RngSpec
 
 _FLOAT_KEYS = {
-    "gamma", "mu", "nu", "beta", "xmin", "xmax", "r", "x",
+    "gamma", "nu", "beta", "xmin", "xmax", "r", "x",
 }
 _INT_KEYS = {"nx", "n", "n_terms", "count", "stream"}
-# "t" stays a string: grid commands accept semicolon-separated lists
+# "t" stays a string: grid commands accept semicolon-separated lists; so does
+# "mu", a number for most commands and a MuVector ("1/4,2/4,3/4") for compose
+
+
+def _mu(params) -> float:
+    return float(params.get("mu", 1.0))
 
 
 def _parse_params(pairs):
@@ -94,14 +99,14 @@ def cmd_tabulate(params, seed, out, fmt):
             for x in xs:
                 if name == "g_nu_beta":
                     v = solvers.space_fractional_density(
-                        params.get("mu", 1.0), params.get("nu", 0.5),
+                        _mu(params), params.get("nu", 0.5),
                         params.get("beta", 1.0), float(x), float(t),
                         params.get("route", "double_integral"),
                     )
                     rows.append((float(x), float(t), v, params.get("route", "double_integral")))
                 else:
                     v = solvers.time_fractional_solution(
-                        params.get("gamma", 1.0), params.get("mu", 1.0),
+                        params.get("gamma", 1.0), _mu(params),
                         params.get("nu", 0.5), float(x), float(t),
                     )
                     rows.append((float(x), float(t), v, "subordination"))
@@ -120,7 +125,7 @@ _BVP_PRESETS = {
 
 def cmd_solve_bvp(params, seed, out, fmt):
     gamma = params.get("gamma", 1.0)
-    mu = params.get("mu", 1.0)
+    mu = _mu(params)
     nu = params.get("nu", 1.0)
     n_terms = params.get("n_terms", 50)
     preset = params.get("m0", "one")
@@ -154,9 +159,9 @@ def cmd_sample(params, seed, out, fmt):
     t = float(params.get("t", 1.0))
     rng = RngSpec(seed, params.get("stream", 0))
     if dist == "G":
-        draws = montecarlo.sample_gamma(params.get("mu", 1.0), t, rng, size=n)
+        draws = montecarlo.sample_gamma(_mu(params), t, rng, size=n)
     elif dist == "E":
-        draws = montecarlo.sample_inv_gamma(params.get("mu", 1.0), t, rng, size=n)
+        draws = montecarlo.sample_inv_gamma(_mu(params), t, rng, size=n)
     elif dist == "subordinator":
         draws = montecarlo.sample_subordinator(params.get("nu", 0.5), t, rng, size=n)
     elif dist == "inverse":
@@ -188,7 +193,7 @@ def cmd_verify(params, seed, out, fmt):
 def cmd_moments(params, seed, out, fmt):
     t_grid = [float(v) for v in str(params.get("t", "0.5;1;2;4")).split(";") if v]
     slope = montecarlo.moment_scaling_slope(
-        params.get("mu", 1.0),
+        _mu(params),
         params.get("nu", 1.0),
         params.get("beta", 1.0),
         params.get("r", 1.0),

@@ -2,9 +2,11 @@
 on the half-line, of order alpha in (0, 1).
 
 Left-sided operators integrate from 0 to x, right-sided ones from x to
-infinity.  Singular kernels (x-s)^(-alpha) are integrated exactly against
-piecewise-linear grid samples and by algebraic-weight quadrature for plain
-callables; power laws are differentiated by the exact rule.
+infinity.  On sampled grids (GridFunction) both sides integrate the singular
+kernel |x-s|^(-a) exactly against the piecewise-linear interpolant (product
+integration), with the power-law continuation past the grid in closed form,
+so grid inputs never reach adaptive quadrature.  Plain callables use
+algebraic-weight quadrature; power laws are differentiated by the exact rule.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import DivergentTailError, DomainError
 from .specfun import gamma_fn
@@ -50,12 +52,13 @@ class GridFunction:
     Evaluation interpolates linearly between nodes, clamps below the first
     node, and extrapolates beyond the last node as
     f(X_max) * (s / X_max)^extrapolation_decay.  A decay of -inf means the
-    function is treated as zero past the grid.
+    function is treated as zero past the grid.  The constructor keeps
+    read-only copies of nodes and values, so the derivative can be cached.
     """
 
     def __init__(self, nodes, values, extrapolation_decay: float = -np.inf):
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
+        nodes = np.array(nodes, dtype=float)
+        values = np.array(values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
             raise DomainError("nodes/values must be 1-d arrays of equal length >= 2")
         if not np.all(np.diff(nodes) > 0):
@@ -64,9 +67,12 @@ class GridFunction:
             raise DomainError("nodes must be positive")
         if not np.all(np.isfinite(values)):
             raise DomainError("values must be finite")
+        nodes.setflags(write=False)
+        values.setflags(write=False)
         self.nodes = nodes
         self.values = values
         self.extrapolation_decay = float(extrapolation_decay)
+        self._derivative = None
 
     @classmethod
     def from_callable(cls, f, nodes, extrapolation_decay: float = -np.inf) -> "GridFunction":
@@ -89,16 +95,19 @@ class GridFunction:
         return float(out[0]) if scalar else out
 
     def derivative(self) -> "GridFunction":
-        if self.nodes.size >= 4:
-            from scipy.interpolate import CubicSpline
+        """Cubic-spline derivative at the nodes (built once and cached)."""
+        if self._derivative is None:
+            if self.nodes.size >= 4:
+                from scipy.interpolate import CubicSpline
 
-            dv = CubicSpline(self.nodes, self.values)(self.nodes, 1)
-        else:
-            dv = np.gradient(self.values, self.nodes)
-        decay = self.extrapolation_decay
-        if math.isfinite(decay):
-            decay -= 1.0
-        return GridFunction(self.nodes, np.asarray(dv, dtype=float), decay)
+                dv = CubicSpline(self.nodes, self.values)(self.nodes, 1)
+            else:
+                dv = np.gradient(self.values, self.nodes)
+            decay = self.extrapolation_decay
+            if math.isfinite(decay):
+                decay -= 1.0
+            self._derivative = GridFunction(self.nodes, dv, decay)
+        return self._derivative
 
     @property
     def min_gap(self) -> float:
@@ -119,24 +128,51 @@ def _quad(fn, a, b, **kw):
     return val
 
 
-def _grid_left_alg_integral(gf: GridFunction, a: float, y: float) -> float:
-    """int_0^y (y-s)^(-a) gf(s) ds, exact for the piecewise-linear interpolant."""
-    inner = gf.nodes[gf.nodes < y]
-    xs = np.concatenate([[0.0], inner, [y]])
-    keep = np.concatenate([[True], np.diff(xs) > 0.0])
-    xs = xs[keep]
-    vs = gf(xs)
-    x0, x1 = xs[:-1], xs[1:]
-    v0, v1 = vs[:-1], vs[1:]
-    slope = (v1 - v0) / (x1 - x0)
-    const = v0 - slope * x0
-    w_hi = y - x0  # larger kernel argument
-    w_lo = y - x1
+def _segment_sum(w, v, a: float) -> float:
+    """int w^(-a) g(w) dw over [w[0], w[-1]] for the g that is linear between
+    the samples (w[i], v[i]); w increasing and >= 0, a < 1."""
+    w0, w1 = w[:-1], w[1:]
+    slope = (v[1:] - v[:-1]) / (w1 - w0)
     p1 = 1.0 - a
     p2 = 2.0 - a
-    term1 = (const + slope * y) * (w_hi**p1 - w_lo**p1) / p1
-    term2 = -slope * (w_hi**p2 - w_lo**p2) / p2
+    term1 = (v[:-1] - slope * w0) * (w1**p1 - w0**p1) / p1
+    term2 = slope * (w1**p2 - w0**p2) / p2
     return float(np.sum(term1 + term2))
+
+
+def _grid_left_alg_integral(gf: GridFunction, a: float, y: float) -> float:
+    """int_0^y (y-s)^(-a) gf(s) ds, exact for the piecewise-linear interpolant."""
+    xs = np.concatenate([[y], gf.nodes[gf.nodes < y][::-1], [0.0]])
+    return _segment_sum(y - xs, gf(xs), a)
+
+
+def _grid_right_alg_integral(gf: GridFunction, a: float, x: float) -> float:
+    """int_x^inf (s-x)^(-a) gf(s) ds, exact for the piecewise-linear interpolant
+    and its power-law continuation f(X) (s/X)^p past the last node X.
+
+    The continuation contributes zero for p = -inf, and otherwise
+    f(X) X^(1-a) 2F1(a, b; b+1; x/X) / b with b = a - p - 1 when x < X, or
+    f(X) X^(-p) x^(-b) B(1-a, b) when x >= X; it needs p < a - 1.
+    """
+    x_max = gf.x_max
+    p = gf.extrapolation_decay
+    body = 0.0
+    if x < x_max:
+        inner = gf.nodes > x
+        w = np.concatenate([[0.0], gf.nodes[inner] - x])
+        v = np.concatenate([[gf(x)], gf.values[inner]])
+        body = _segment_sum(w, v, a)
+    if p == -np.inf:
+        return body
+    b = a - p - 1.0
+    if not b > 0.0:
+        raise DivergentTailError(f"grid tail exponent {p} too weak for a kernel of order {a}")
+    v_max = float(gf.values[-1])
+    if x < x_max:
+        tail = v_max * x_max ** (1.0 - a) * special.hyp2f1(a, b, b + 1.0, x / x_max) / b
+    else:
+        tail = v_max * x_max ** (-p) * x ** (-b) * special.beta(1.0 - a, b)
+    return body + float(tail)
 
 
 def _left_alg_integral(f, a: float, y: float) -> float:
@@ -151,6 +187,21 @@ def _left_alg_integral(f, a: float, y: float) -> float:
         val, _ = integrate.quad(f, 0.0, y, weight="alg", wvar=(0.0, -a),
                                 epsabs=1e-12, epsrel=1e-10, limit=200)
     return val
+
+
+def _right_alg_integral(f, a: float, x: float) -> float:
+    """int_x^inf (s-x)^(-a) f(s) ds for a < 1; the exact segment sum when f is a
+    sampled grid, otherwise algebraic-weight quadrature near x and plain
+    quadrature on the rest of the half-line."""
+    if isinstance(f, GridFunction):
+        return _grid_right_alg_integral(f, a, x)
+    w0 = max(1.0, 0.5 * abs(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        near, _ = integrate.quad(lambda w: f(x + w), 0.0, w0, weight="alg",
+                                 wvar=(-a, 0.0), epsabs=1e-12, epsrel=1e-10, limit=200)
+    far = _quad(lambda w: w ** (-a) * f(x + w), w0, np.inf)
+    return near + far
 
 
 def _check_alpha(alpha: float):
@@ -214,8 +265,10 @@ def rl_right(alpha: float, f, x: float, tail_decay: float | None = None) -> floa
     -(d/dx) int_x^inf (s-x)^(-alpha) f(s) ds / Gamma(1-alpha).
 
     The x-derivative is taken inside the integral (equal by dominated
-    convergence), giving -int_0^inf w^(-alpha) f'(x+w) dw / Gamma(1-alpha).
-    The tail of f must decay like s^p with p < -alpha.
+    convergence), giving -int_x^inf (s-x)^(-alpha) f'(s) ds / Gamma(1-alpha).
+    The tail of f must decay like s^p with p < -alpha.  On a GridFunction
+    the integral is exact for the piecewise-linear interpolant of the cached
+    spline derivative and its power-law tail; plain callables use quadrature.
     """
     _check_alpha(alpha)
     if x < 0:
@@ -232,13 +285,7 @@ def rl_right(alpha: float, f, x: float, tail_decay: float | None = None) -> floa
             b - alpha - 1.0
         )
     fp = _derivative_callable(f)
-    w0 = max(1.0, 0.5 * abs(x))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        near, _ = integrate.quad(lambda w: fp(x + w), 0.0, w0, weight="alg",
-                                 wvar=(-alpha, 0.0), epsabs=1e-12, epsrel=1e-10, limit=200)
-    far = _quad(lambda w: w ** (-alpha) * fp(x + w), w0, np.inf)
-    return -(near + far) / gamma_fn(1.0 - alpha)
+    return -_right_alg_integral(fp, alpha, x) / gamma_fn(1.0 - alpha)
 
 
 def caputo(alpha: float, f, t: float) -> float:
@@ -264,6 +311,8 @@ def frac_integral(side: str, alpha: float, f, x: float, tail_decay: float | None
       right: int_x^inf (s-x)^(alpha-1) f(s) ds / Gamma(alpha)
 
     The right version requires the tail of f to decay like s^p, p < -alpha.
+    Both sides are exact for the piecewise-linear interpolant of a
+    GridFunction (and its power-law tail); plain callables use quadrature.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
@@ -278,10 +327,4 @@ def frac_integral(side: str, alpha: float, f, x: float, tail_decay: float | None
         raise DivergentTailError(
             f"tail exponent {decay} too weak for the right fractional integral"
         )
-    w0 = max(1.0, 0.5 * abs(x))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        near, _ = integrate.quad(lambda w: f(x + w), 0.0, w0, weight="alg",
-                                 wvar=(alpha - 1.0, 0.0), epsabs=1e-12, epsrel=1e-10, limit=200)
-    far = _quad(lambda w: w ** (alpha - 1.0) * f(x + w), w0, np.inf)
-    return (near + far) / gamma_fn(alpha)
+    return _right_alg_integral(f, 1.0 - alpha, x) / gamma_fn(alpha)

@@ -59,6 +59,7 @@ __all__ = [
     "ratio_density",
     "f_nu_beta",
     "index_set",
+    "resolve_method",
     "tabulate_density",
 ]
 
@@ -144,7 +145,10 @@ class MuVector:
     @classmethod
     def parse(cls, text: str) -> "MuVector":
         parts = [p.strip() for p in text.split(",") if p.strip()]
-        fracs = [Fraction(p) for p in parts]
+        try:
+            fracs = [Fraction(p) for p in parts]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"cannot parse mu vector {text!r}: {exc}") from None
         kappa = 1
         for f in fracs:
             kappa = kappa * f.denominator // math.gcd(kappa, f.denominator)
@@ -343,6 +347,25 @@ def _chain_order(nu: float) -> int:
     return n
 
 
+_AUTO_FALLBACK = {"h": "foxh", "l": "wright"}
+
+
+def resolve_method(law: str, nu: float, method: str = "auto") -> str:
+    """The route that h_density (law 'h') or l_density (law 'l') runs for
+    `method` at index nu.  'auto' takes 'closed' at nu = 1/2, 'conv' at
+    nu = 1/(n+1), and otherwise 'foxh' for h and 'wright' for l; any other
+    method is returned as given."""
+    if method != "auto":
+        return method
+    if nu == 0.5:
+        return "closed"
+    try:
+        _chain_order(nu)
+        return "conv"
+    except UnsupportedMethodError:
+        return _AUTO_FALLBACK[law]
+
+
 def h_fox(nu: float) -> FoxH:
     """H-function object whose evaluation is the one-sided stable density at
     unit time; kernel Gamma((1-eta)/nu) / (nu Gamma(1-eta))."""
@@ -384,15 +407,7 @@ def h_density(nu: float, x: float, t: float, method: str = "auto") -> float:
     if not 0 < nu < 1:
         raise DomainError("h_density requires nu in (0, 1)")
     _check_xt(x, t)
-    if method == "auto":
-        if nu == 0.5:
-            method = "closed"
-        else:
-            try:
-                _chain_order(nu)
-                method = "conv"
-            except UnsupportedMethodError:
-                method = "foxh"
+    method = resolve_method("h", nu, method)
     if method == "closed":
         if abs(nu - 0.5) > 1e-12:
             raise UnsupportedMethodError("closed form available only for nu=1/2")
@@ -427,15 +442,7 @@ def l_density(nu: float, x: float, t: float, method: str = "auto") -> float:
     if not 0 < nu < 1:
         raise DomainError("l_density requires nu in (0, 1)")
     _check_xt(x, t)
-    if method == "auto":
-        if nu == 0.5:
-            method = "closed"
-        else:
-            try:
-                _chain_order(nu)
-                method = "conv"
-            except UnsupportedMethodError:
-                method = "wright"
+    method = resolve_method("l", nu, method)
     if method == "closed":
         if abs(nu - 0.5) > 1e-12:
             raise UnsupportedMethodError("closed form available only for nu=1/2")
@@ -548,24 +555,27 @@ def index_set(kind: str, n: int, kappa: int, target: int) -> list:
 
 _DENSITY_BUILDERS = {
     "gg": lambda p: (
-        lambda x, t: gg_density(GGLaw(p["gamma"], p["mu"]), x, t, tilde=bool(p.get("tilde", 0)))
+        lambda x, t: gg_density(GGLaw(p["gamma"], float(p["mu"])), x, t, tilde=bool(p.get("tilde", 0)))
     ),
     "h": lambda p: (lambda x, t: h_density(p["nu"], x, t, method=p.get("method", "auto"))),
     "l": lambda p: (lambda x, t: l_density(p["nu"], x, t, method=p.get("method", "auto"))),
     "f_ratio": lambda p: (lambda x, t: ratio_density(p["nu"], x / t) / t),
     "f_nu_beta": lambda p: (lambda x, t: f_nu_beta(p["nu"], p["beta"], x, t)),
     "compose": lambda p: (
-        lambda x, t: compose_density(p["gamma"], MuVector.parse(p["mu"]), x, t)
+        lambda x, t: compose_density(p["gamma"], MuVector.parse(str(p["mu"])), x, t)
     ),
 }
 
 
 def tabulate_density(name: str, params: dict, xs, ts) -> list:
-    """Rows (x, t, value, method) for a named density over a grid."""
+    """Rows (x, t, value, method) for a named density over a grid; for h and
+    l the method column names the route that ran."""
     if name not in _DENSITY_BUILDERS:
         raise DomainError(f"unknown density {name!r}")
     fn = _DENSITY_BUILDERS[name](params)
-    method = params.get("method", "auto") if name in ("h", "l") else name
+    method = name
+    if name in ("h", "l"):
+        method = resolve_method(name, params["nu"], params.get("method", "auto"))
     rows = []
     for t in np.atleast_1d(ts):
         for x in np.atleast_1d(xs):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -112,10 +113,10 @@ def sample_inverse_subordinator(nu: float, t, rng, size=None) -> np.ndarray | fl
 class CompositionChain:
     """A nested composition equivalent in law to a stable or inverse draw.
 
-    For a vector of length n the index is nu = 1/(n+1) and mu_vector must lie
-    in the product class P^n_{n+1}(n!).  That check is a membership guard:
-    only permutations of (1, ..., n)/(n+1) give the stable or inverse law;
-    other class members, from n = 3 on, draw from a different law.
+    For a vector of length n the index is nu = 1/(n+1) and mu_vector must be
+    a permutation of (1, ..., n)/(n+1): only those vectors give the stable or
+    inverse law.  Other members of the product class P^n_{n+1}(n!), such as
+    (1, 1, 6)/4, draw from a different law and are rejected.
     Subordinator chains nest inverse-gamma stages with innermost time
     (nu t)^(1/nu); inverse chains nest gamma stages with innermost time
     (n+1)^(n+1) t and take the nu-th power of the result.
@@ -131,10 +132,8 @@ class CompositionChain:
         if not self.t > 0:
             raise DomainError("t must be positive")
         n = self.mu_vector.n
-        if self.mu_vector.kappa != n + 1:
-            raise DomainError("mu_vector must have kappa = n + 1")
-        if not self.mu_vector.in_product_set(math.factorial(n)):
-            raise DomainError("mu_vector must lie in the product class of n!")
+        if sorted(self.mu_vector.entries) != [Fraction(j, n + 1) for j in range(1, n + 1)]:
+            raise DomainError("mu_vector must be a permutation of (1, ..., n)/(n+1)")
 
     @property
     def nu(self) -> float:

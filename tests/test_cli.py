@@ -77,6 +77,57 @@ class TestTabulate:
         assert all(float(r.split(",")[2]) >= 0 for r in rows)
 
 
+    def test_compose_table(self, capsys):
+        from anomdiff.laws import MuVector, compose_density
+
+        code = run_cli([
+            "--command", "tabulate", "--param", "density=compose",
+            "--param", "gamma=1", "--param", "mu=1/4,2/4,3/4",
+            "--param", "xmin=0.5", "--param", "xmax=2", "--param", "nx=2",
+            "--param", "t=1",
+        ])
+        assert code == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert len(rows) == 2
+        mu = MuVector.from_integers((1, 2, 3), 4)
+        for x, row in zip((0.5, 2.0), rows):
+            assert float(row[2]) == pytest.approx(compose_density(1.0, mu, x, 1.0), rel=1e-11)
+            assert row[3] == "compose"
+
+    @pytest.mark.parametrize("density, mu", [
+        ("compose", "abc"),
+        ("compose", "1/0"),
+        ("compose", "0.5,-1"),
+        ("gg", "abc"),
+    ])
+    def test_bad_mu_is_usage_error(self, density, mu):
+        code = run_cli([
+            "--command", "tabulate", "--param", f"density={density}",
+            "--param", "gamma=1", "--param", f"mu={mu}",
+            "--param", "xmin=1", "--param", "xmax=1", "--param", "nx=1",
+        ])
+        assert code == 2
+
+    def test_float_mu_consumers_reject_bad_mu(self):
+        assert run_cli(["--command", "sample", "--param", "dist=G", "--param", "mu=abc"]) == 2
+        assert run_cli(["--command", "moments", "--param", "mu=abc"]) == 2
+
+    @pytest.mark.parametrize("density, nu, route", [
+        ("h", "0.3", "foxh"),
+        ("l", "0.3", "wright"),
+        ("l", "0.5", "closed"),
+    ])
+    def test_method_column_names_the_route_that_ran(self, capsys, density, nu, route):
+        code = run_cli([
+            "--command", "tabulate", "--param", f"density={density}", "--param", f"nu={nu}",
+            "--param", "xmin=0.5", "--param", "xmax=1.5", "--param", "nx=3",
+        ])
+        assert code == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(r.split(",")[3] == route for r in rows)
+
+
 class TestSolveBvp:
     def test_first_mode_preset_matches_closed_term(self, tmp_path):
         out = tmp_path / "bvp.csv"

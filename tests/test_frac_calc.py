@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
+from anomdiff import frac_calc
 from anomdiff.errors import DivergentTailError, DomainError
 from anomdiff.frac_calc import GridFunction, PowerLaw, caputo, frac_integral, rl_left, rl_right
+from anomdiff.solvers import fractional_power_operator
 from anomdiff.specfun import gamma_fn
 
 SQRT_PI = math.sqrt(math.pi)
@@ -29,6 +32,18 @@ class TestGridFunction:
         assert gf(4.0) == pytest.approx(2.0 * (4.0 / 2.0) ** -2.0)
         zero_tail = GridFunction([1.0, 2.0], [1.0, 2.0])
         assert zero_tail(5.0) == 0.0
+
+    def test_derivative_cached_and_arrays_read_only(self):
+        nodes = np.linspace(0.1, 2.0, 10)
+        values = nodes**2
+        gf = GridFunction(nodes, values)
+        assert gf.derivative() is gf.derivative()
+        with pytest.raises(ValueError):
+            gf.values[0] = 1.0
+        with pytest.raises(ValueError):
+            gf.nodes[0] = 1.0
+        values[0] = 99.0  # the constructor copied the caller's array
+        assert gf.values[0] == pytest.approx(0.01)
 
 
 class TestRlLeft:
@@ -86,6 +101,109 @@ class TestRlRight:
         gf = GridFunction([0.5, 1.0, 2.0], [1.0, 1.0, 1.0], extrapolation_decay=-0.1)
         with pytest.raises(DivergentTailError):
             rl_right(0.5, gf, 1.0)
+
+
+def _right_kernel_by_quad(a, gf, x):
+    """int_x^inf (s-x)^(-a) gf(s) ds by quad in u = (s-x)^(1-a)/(1-a), which
+    removes the singularity at s = x; every node inside is a break point."""
+    p = 1.0 - a
+
+    def h(u):
+        return gf(x + (p * u) ** (1.0 / p))
+
+    def u_of(s):
+        return (s - x) ** p / p
+
+    kw = dict(epsabs=1e-15, epsrel=1e-13, limit=500)
+    total = 0.0
+    if x < gf.x_max:
+        breaks = [u_of(s) for s in gf.nodes if x < s < gf.x_max]
+        total += quad(h, 0.0, u_of(gf.x_max), points=breaks, **kw)[0]
+    if math.isfinite(gf.extrapolation_decay):
+        total += quad(h, u_of(max(x, gf.x_max)), np.inf, **kw)[0]
+    return total
+
+
+def _right_kernel_old_quad(a, gf, x):
+    """The adaptive-quadrature formula the grid operators used before product
+    integration: algebraic weight on [x, x + w0], plain quad beyond."""
+    w0 = max(1.0, 0.5 * abs(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        near, _ = quad(lambda w: gf(x + w), 0.0, w0, weight="alg", wvar=(-a, 0.0),
+                       epsabs=1e-12, epsrel=1e-10, limit=200)
+        far, _ = quad(lambda w: w ** (-a) * gf(x + w), w0, np.inf,
+                      epsabs=1e-11, epsrel=1e-9, limit=200)
+    return near + far
+
+
+class TestRightGridKernel:
+    """Product integration of the right-sided kernel on GridFunction inputs."""
+
+    @pytest.fixture(scope="class")
+    def small_grids(self):
+        nodes = np.geomspace(0.2, 6.0, 20)
+        values = (1.0 + nodes) ** -2.5 * (1.0 + 0.3 * np.sin(3.0 * nodes))
+        return GridFunction(nodes, values, -2.5), GridFunction(nodes, values)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_matches_quad_on_small_grid(self, small_grids, alpha):
+        for gf in small_grids:
+            nodes = gf.nodes
+            # below the first node, on a node, between nodes, at and past X
+            for x in (0.0, 0.05, float(nodes[7]), 1.1, gf.x_max, 1.4 * gf.x_max):
+                want = -_right_kernel_by_quad(alpha, gf.derivative(), x) / gamma_fn(1.0 - alpha)
+                assert rl_right(alpha, gf, x) == pytest.approx(want, rel=1e-10, abs=1e-12)
+                want = _right_kernel_by_quad(1.0 - alpha, gf, x) / gamma_fn(alpha)
+                got = frac_integral("right", alpha, gf, x)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_finite_tail_past_the_grid_is_nonzero(self, small_grids):
+        power_tail, zero_tail = small_grids
+        x = 1.4 * power_tail.x_max
+        assert frac_integral("right", 0.5, zero_tail, x) == 0.0
+        assert frac_integral("right", 0.5, power_tail, x) > 0.0
+
+    def test_weak_grid_tail_rejected(self):
+        gf = GridFunction([0.5, 1.0, 2.0], [1.0, 1.0, 1.0], extrapolation_decay=-0.1)
+        with pytest.raises(DivergentTailError):
+            frac_integral("right", 0.5, gf, 1.0, tail_decay=-1.0)
+
+    def test_matches_old_quadrature_on_verify_grid(self):
+        nodes = np.geomspace(1e-5, 50.0, 2500)
+        gf = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)
+        alpha = 0.5
+        xs = np.concatenate([[0.0], np.geomspace(1e-5, 49.0, 24)])
+        gp = gf.derivative()
+        rl = np.array([
+            (rl_right(alpha, gf, x), -_right_kernel_old_quad(alpha, gp, x) / gamma_fn(1.0 - alpha))
+            for x in xs
+        ])
+        fi = np.array([
+            (frac_integral("right", alpha, gf, x), _right_kernel_old_quad(1.0 - alpha, gf, x) / gamma_fn(alpha))
+            for x in xs
+        ])
+        for got, want in (rl.T, fi.T):
+            big = np.abs(want) > 1e-8 * np.max(np.abs(want))
+            assert np.count_nonzero(big) >= 15
+            assert np.max(np.abs(got[big] - want[big]) / np.abs(want[big])) <= 1e-5
+
+    def test_grid_inputs_never_reach_quad(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quad called on a grid input")
+
+        nodes = np.geomspace(1e-5, 50.0, 2500)
+        gf = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)
+        power_tail = GridFunction(nodes[:2000], nodes[:2000] * np.exp(-nodes[:2000]), -2.5)
+        monkeypatch.setattr(frac_calc.integrate, "quad", no_quad)
+        for f in (gf, power_tail):
+            for x in (1e-6, 1.0, 60.0):
+                assert math.isfinite(rl_right(0.5, f, x))
+                assert math.isfinite(frac_integral("right", 0.5, f, x))
+        assert math.isfinite(rl_left(0.5, gf, 1.0))
+        assert math.isfinite(caputo(0.5, gf, 1.0))
+        assert math.isfinite(frac_integral("left", 0.5, gf, 1.0))
+        assert callable(fractional_power_operator(2.0, 0.5, gf))
 
 
 class TestCaputo:

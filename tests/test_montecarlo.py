@@ -163,6 +163,16 @@ class TestChains:
         with pytest.raises(DomainError):
             CompositionChain("subordinator", MuVector.from_integers([1, 2], 4), 1.0)
 
+    def test_guard_accepts_only_permutations(self):
+        # (1,1,6)/4 shares the product index 3! but draws from another law
+        with pytest.raises(DomainError):
+            CompositionChain("subordinator", MuVector.from_integers([1, 1, 6], 4), 1.0)
+        with pytest.raises(DomainError):
+            CompositionChain("inverse", MuVector.from_integers([1, 1, 6], 4), 1.0)
+        for ups in ([1, 2, 3], [3, 2, 1]):
+            chain = CompositionChain("subordinator", MuVector.from_integers(ups, 4), 1.0)
+            assert chain.nu == pytest.approx(0.25)
+
     def test_commutativity_in_law(self):
         r1 = RngSpec(0, 21).generator()
         r2 = RngSpec(0, 22).generator()
