@@ -21,10 +21,12 @@ from .laws import (
     SubordinatorSpec,
     TimeStretch,
     compose_density,
+    compose_fox,
     compose_invariance_gap,
     compose_mellin,
     econv,
     f_nu_beta,
+    f_nu_beta_fox,
     gconv,
     gg_density,
     gg_mellin,
@@ -75,6 +77,7 @@ from .solvers import (
     space_fractional_mellin,
     sturm_liouville_solution,
     sturm_liouville_solve,
+    time_fractional_fox,
     time_fractional_solution,
 )
 from .specfun import (

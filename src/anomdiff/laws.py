@@ -10,6 +10,13 @@ sum-index class are in general different laws.  With gamma = -1 the chain
 vector mu_j = j/(n+1) gives the one-sided stable law of index 1/(n+1) (the
 'conv' route of h_density); with gamma = 1 it gives its reciprocal, scaled.
 
+Every law here whose Mellin transform is a product of Gamma functions is an
+H-function, evaluated by one Mellin-Barnes contour (`fox_h_eval`): the
+stable and inverse laws (`h_fox`, `l_fox`), the n-fold composition
+(`compose_fox`, for n >= 3) and the mixed law (`f_nu_beta_fox`).  The
+nested adaptive quadrature that builds the same densities from their
+factors stays as `method='quadrature'`, the independent oracle of the tests.
+
 Conventions.  The n-fold multiplicative convolution at composite time t is
 the law of a product of n independent factors whose time arguments multiply
 to t.  Composition chains are normalized so that the closed forms at
@@ -47,6 +54,7 @@ __all__ = [
     "gg_mellin",
     "gconv",
     "econv",
+    "compose_fox",
     "compose_density",
     "compose_mellin",
     "compose_invariance_gap",
@@ -58,6 +66,7 @@ __all__ = [
     "l_fox",
     "ratio_density",
     "f_nu_beta",
+    "f_nu_beta_fox",
     "index_set",
     "resolve_method",
     "tabulate_density",
@@ -273,29 +282,63 @@ def _log_quad(fn, lo: float = -60.0, hi: float = 60.0) -> float:
     return val
 
 
-def compose_density(gamma: float, mu, x: float, t: float) -> float:
+def compose_fox(gamma: float, mu) -> FoxH:
+    """H-function object of the n-fold composition at unit time; kernel
+    prod_j Gamma((eta-1)/gamma + mu_j) / Gamma(mu_j).
+
+    For gamma > 0 every factor is a lower pair (mu_j - 1/gamma, 1/gamma) on
+    the strip (1 - gamma min mu, inf); for gamma < 0 an upper pair
+    (1 - mu_j - 1/|gamma|, 1/|gamma|) on (-inf, 1 + |gamma| min mu).
+    """
+    mus = mu.as_floats() if isinstance(mu, MuVector) else np.asarray(mu, dtype=float)
+    n, g = len(mus), abs(gamma)
+    prefactor = 1.0 / math.prod(gamma_fn(m) for m in mus)
+    if gamma > 0:
+        return FoxH(
+            m=n, n=0, p=0, q=n,
+            upper=(),
+            lower=tuple((m - 1.0 / g, 1.0 / g) for m in mus),
+            strip=MellinStrip(1.0 - g * min(mus), math.inf),
+            prefactor=prefactor,
+        )
+    return FoxH(
+        m=0, n=n, p=n, q=0,
+        upper=tuple((1.0 - m - 1.0 / g, 1.0 / g) for m in mus),
+        lower=(),
+        strip=MellinStrip(-math.inf, 1.0 + g * min(mus)),
+        prefactor=prefactor,
+    )
+
+
+def compose_density(gamma: float, mu, x: float, t: float, method: str = "auto") -> float:
     """n-fold multiplicative convolution of generalized gamma laws with common
     shape index `gamma` and shape vector `mu`, at composite time t.
 
-    n = 1 is the plain law, n = 2 the closed Bessel-K form; larger n peels one
-    tilde-factor off and integrates it against the closed (n-1)-fold core with
-    unit shape index.  Depth is capped at 4.
+    n = 1 is the plain law and n = 2 the closed Bessel-K form.  For n >= 3,
+    'auto' evaluates the H-function of `compose_fox` at x/t, at any depth.
+    'quadrature' is the independent oracle: it peels one tilde-factor off and
+    integrates it against the (n-1)-fold core with unit shape index, by
+    nested adaptive quadrature capped at depth 4.
     """
+    if method not in ("auto", "quadrature"):
+        raise UnsupportedMethodError(f"unknown method {method!r} for compose_density")
     mus = mu.as_floats() if isinstance(mu, MuVector) else np.asarray(mu, dtype=float)
     n = len(mus)
-    if n > 4:
-        raise DomainError("composition depth capped at 4")
+    if method == "quadrature" and n > 4:
+        raise DomainError("quadrature composition depth capped at 4")
     _check_xt(x, t)
     if n == 1:
         return gg_density(GGLaw(gamma, mus[0]), x, t)
     if n == 2:
         return econv(gamma, mus[0], mus[1], x, t)
+    if method == "auto":
+        return fox_h_eval(compose_fox(gamma, mus), x / t) / t
     inner_t = t**gamma
     law0 = GGLaw(gamma, mus[0])
     rest = mus[1:]
 
     def integrand(s):
-        return gg_density(law0, x, s, tilde=True) * compose_density(1.0, rest, s, inner_t)
+        return gg_density(law0, x, s, tilde=True) * compose_density(1.0, rest, s, inner_t, "quadrature")
 
     return _log_quad(integrand)
 
@@ -401,8 +444,9 @@ def h_density(nu: float, x: float, t: float, method: str = "auto") -> float:
     index nu with Laplace transform exp(-t lambda^nu).
 
     Methods: 'closed' (nu = 1/2 only), 'conv' (nu = 1/(n+1), built from the
-    inverse-gamma composition at stretched time phi_{n+1}(t)), 'foxh'
-    (any nu in (0, 1), Mellin-Barnes contour).
+    inverse-gamma composition at stretched time phi_{n+1}(t), a closed form
+    for n <= 2 and the composition contour beyond, at any n), 'foxh'
+    (any nu in (0, 1), Mellin-Barnes contour of the stable kernel).
     """
     if not 0 < nu < 1:
         raise DomainError("h_density requires nu in (0, 1)")
@@ -436,7 +480,8 @@ def l_density(nu: float, x: float, t: float, method: str = "auto") -> float:
     """Density of the inverse (hitting-time) law of the nu-stable subordinator.
 
     Methods: 'closed' (nu = 1/2), 'conv' (nu = 1/(n+1), gamma-power
-    composition at stretched composite time psi_{n+1}(t)), 'wright'
+    composition at stretched composite time psi_{n+1}(t), a closed form for
+    n <= 2 and the composition contour beyond, at any n), 'wright'
     (t^-nu W_{-nu,1-nu}(-x t^-nu)), 'foxh'.
     """
     if not 0 < nu < 1:
@@ -488,13 +533,38 @@ def ratio_density(nu: float, x: float) -> float:
     )
 
 
-def f_nu_beta(nu: float, beta: float, x: float, t: float) -> float:
+def f_nu_beta_fox(nu: float, beta: float) -> FoxH:
+    """H-function object of the mixed law at unit time; kernel
+
+        Gamma((1-eta)/nu) / (nu Gamma(1-eta)) * Gamma((eta-1)/nu + 1)
+                                              / Gamma(beta (eta-1)/nu + 1)
+
+    on the strip (1 - nu, 1): the h-kernel times the inverse-law moment of
+    order (eta-1)/nu."""
+    return FoxH(
+        m=1,
+        n=1,
+        p=2,
+        q=2,
+        upper=((1.0 - 1.0 / nu, 1.0 / nu), (1.0 - beta / nu, beta / nu)),
+        lower=((1.0 - 1.0 / nu, 1.0 / nu), (0.0, 1.0)),
+        strip=MellinStrip(1.0 - nu, 1.0),
+        prefactor=1.0 / nu,
+    )
+
+
+def f_nu_beta(nu: float, beta: float, x: float, t: float, method: str = "auto") -> float:
     """Density of the nu-stable subordinator run at an independent
     beta-inverse time: int_0^inf h_nu(x, s) l_beta(s, t) ds.
 
+    'auto' evaluates the H-function of `f_nu_beta_fox` at x / t^(beta/nu);
+    'quadrature' is the independent oracle, adaptive quadrature of the
+    integral above over h_density and l_density on their auto routes.
     Degenerate ends: beta = 1 gives the plain stable law, nu = 1 the plain
     inverse law.
     """
+    if method not in ("auto", "quadrature"):
+        raise UnsupportedMethodError(f"unknown method {method!r} for f_nu_beta")
     if not (0 < nu <= 1 and 0 < beta <= 1):
         raise DomainError("indices must lie in (0, 1]")
     if x < 0 or t <= 0:
@@ -507,6 +577,9 @@ def f_nu_beta(nu: float, beta: float, x: float, t: float) -> float:
         return l_density(beta, x, t) if x > 0 else l_density(beta, 1e-300, t)
     if x == 0.0:
         return 0.0
+    if method == "auto":
+        scale = t ** (beta / nu)
+        return fox_h_eval(f_nu_beta_fox(nu, beta), x / scale) / scale
 
     def integrand(s):
         return h_density(nu, x, s) * l_density(beta, s, t)

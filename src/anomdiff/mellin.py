@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,11 @@ class MellinStrip:
 
 def _is_nonpositive_integer(x: float, tol: float = 1e-9) -> bool:
     return x < 0.5 and abs(x - round(x)) <= tol
+
+
+def _on_edge(eta: float, end: float) -> bool:
+    # a pole computed one ulp inside a strip end it sits on lies on that end
+    return math.isfinite(end) and abs(eta - end) <= 1e-12 * max(abs(end), 1.0)
 
 
 @dataclass(frozen=True)
@@ -130,10 +136,12 @@ class FoxH:
         return poles
 
     def _poles_in_strip(self):
+        a, b = self.strip.a, self.strip.b
         return [
             eta
             for eta in self._numerator_pole_positions()
-            if self.strip.a < eta < self.strip.b or not math.isfinite(eta)
+            if not math.isfinite(eta)
+            or (a < eta < b and not _on_edge(eta, a) and not _on_edge(eta, b))
         ]
 
     def kernel(self, eta):
@@ -253,7 +261,8 @@ def _contour_samples(kernel, abscissa: float, panel: float, tol: float,
     raise ConvergenceError("Mellin inversion contour did not decay within max_height")
 
 
-_CONTOUR_CACHE: dict = {}
+_CONTOUR_CACHE: OrderedDict = OrderedDict()  # least recently used first
+_CONTOUR_CACHE_SIZE = 256
 
 
 def mellin_inverse(kernel, x: float, abscissa: float, *, tol: float = 1e-13,
@@ -273,9 +282,11 @@ def mellin_inverse(kernel, x: float, abscissa: float, *, tol: float = 1e-13,
         entry = _CONTOUR_CACHE.get(key)
         if entry is None:
             entry = _contour_samples(kernel, abscissa, panel, tol, max_height)
-            if len(_CONTOUR_CACHE) > 256:
-                _CONTOUR_CACHE.clear()
+            if len(_CONTOUR_CACHE) >= _CONTOUR_CACHE_SIZE:
+                _CONTOUR_CACHE.popitem(last=False)
             _CONTOUR_CACHE[key] = entry
+        else:
+            _CONTOUR_CACHE.move_to_end(key)
         s, wk = entry
     else:
         s, wk = _contour_samples(kernel, abscissa, panel, tol, max_height)

@@ -1,9 +1,11 @@
 """Solution operators for the fractional diffusion problems.
 
-Subordination integral on the half-line, the Bessel eigenfunction series on
-the unit interval, the fractional power of the adjoint generator, the mixed
-space-fractional density with its three evaluation routes, and residual
-checks of the governing Mellin/Laplace identities.
+The subordination solution on the half-line (an H-function, with its
+subordination integral kept as the quadrature oracle), the Bessel
+eigenfunction series on the unit interval, the fractional power of the
+adjoint generator, the mixed space-fractional density with its three
+evaluation routes, and residual checks of the governing Mellin/Laplace
+identities.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "project_coefficients",
     "sturm_liouville_solution",
     "sturm_liouville_solve",
+    "time_fractional_fox",
     "time_fractional_solution",
     "generator_apply",
     "adjoint_generator_apply",
@@ -242,20 +245,55 @@ def sturm_liouville_solve(spec: BVPSpec, x: float, t: float) -> float:
 # subordination on the half-line
 
 
-def time_fractional_solution(gamma: float, mu: float, nu: float, x: float, t: float) -> float:
+def time_fractional_fox(gamma: float, mu: float, nu: float) -> FoxH:
+    """H-function object of the time-fractional solution at unit scale;
+    kernel Gamma(s + mu)/Gamma(mu) * Gamma(s + 1)/Gamma(nu s + 1) with
+    s = (eta-1)/gamma: the tilde-law transform times the inverse-law moment
+    of order s.  Lower (numerator) pairs for gamma > 0 on the strip
+    (1 - gamma min(mu, 1), inf), upper ones for gamma < 0 on
+    (-inf, 1 + |gamma| min(mu, 1))."""
+    g = abs(gamma)
+    if gamma > 0:
+        return FoxH(
+            m=2, n=0, p=1, q=2,
+            upper=((1.0 - nu / g, nu / g),),
+            lower=((mu - 1.0 / g, 1.0 / g), (1.0 - 1.0 / g, 1.0 / g)),
+            strip=MellinStrip(1.0 - g * min(mu, 1.0), math.inf),
+            prefactor=1.0 / gamma_fn(mu),
+        )
+    return FoxH(
+        m=0, n=2, p=2, q=1,
+        upper=((1.0 - mu - 1.0 / g, 1.0 / g), (-1.0 / g, 1.0 / g)),
+        lower=((-nu / g, nu / g),),
+        strip=MellinStrip(-math.inf, 1.0 + g * min(mu, 1.0)),
+        prefactor=1.0 / gamma_fn(mu),
+    )
+
+
+def time_fractional_solution(gamma: float, mu: float, nu: float, x: float, t: float,
+                             method: str = "auto") -> float:
     """Solution of the time-fractional Cauchy problem on (0, inf) with a point
     initial datum: the tilde-scaled generalized gamma law run at the inverse
     subordinator time, int_0^inf g~(x, s) l_nu(s, t) ds.
 
-    At nu = 1 the inverse time collapses to the identity and the law itself is
-    returned.  The quadrature substitutes s = t^nu u so the nodes do not move
-    with t.
+    'auto' evaluates the H-function of `time_fractional_fox` at
+    x / t^(nu/gamma).  'quadrature' is the independent oracle: adaptive
+    quadrature of the integral above, substituting s = t^nu u so the nodes
+    do not move with t.  At nu = 1 the inverse time collapses to the
+    identity and the law itself is returned.
     """
+    if method not in ("auto", "quadrature"):
+        raise UnsupportedMethodError(f"unknown method {method!r} for time_fractional_solution")
     if not 0 < nu <= 1:
         raise DomainError("nu must lie in (0, 1]")
     law = GGLaw(gamma, mu)
     if nu == 1.0:
         return gg_density(law, x, t, tilde=True)
+    if method == "auto":
+        if not (x > 0 and t > 0):
+            raise DomainError("x and t must be positive")
+        scale = t ** (nu / gamma)
+        return fox_h_eval(time_fractional_fox(gamma, mu, nu), x / scale) / scale
     scale = t**nu
 
     def integrand(u):

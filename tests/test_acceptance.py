@@ -130,8 +130,7 @@ def test_criterion_4_composition_class_invariance():
 
     Asserted on the stated vectors, grid and depth:
 
-    (a) each vector is invariant under a non-identity permutation, which the
-        recursion evaluates by peeling a different factor first (<= 1e-4);
+    (a) each vector is invariant under a non-identity permutation (<= 1e-4);
     (b) (1,2,3,4)/5 carries the paper's result.  By Gauss multiplication,
         prod_k Gamma(s+k/5)/Gamma(k/5) = 5^(-5s) Gamma(5s+1)/Gamma(s+1), so
         the composition is the law of 5^-5 t / S with S one-sided stable of

@@ -112,6 +112,22 @@ class TestTabulate:
         assert run_cli(["--command", "sample", "--param", "dist=G", "--param", "mu=abc"]) == 2
         assert run_cli(["--command", "moments", "--param", "mu=abc"]) == 2
 
+    @pytest.mark.parametrize("params", [
+        ["density=u_time_frac", "nu=0.7"],
+        ["density=f_nu_beta", "nu=0.5", "beta=0.7"],
+    ])
+    def test_tables_where_the_wright_series_overflowed(self, capsys, params):
+        # both used to exit 1: their old quadrature routes reached l_density
+        # on the Wright series past its overflow guard
+        args = ["--command", "tabulate"]
+        for p in params:
+            args += ["--param", p]
+        assert run_cli(args) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 30
+        values = [float(r.split(",")[2]) for r in rows]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
+
     @pytest.mark.parametrize("density, nu, route", [
         ("h", "0.3", "foxh"),
         ("l", "0.3", "wright"),

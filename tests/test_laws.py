@@ -28,6 +28,7 @@ from anomdiff.laws import (
     l_density,
     l_mellin,
     ratio_density,
+    resolve_method,
     tabulate_density,
 )
 from anomdiff.mellin import mellin_numeric
@@ -187,6 +188,40 @@ class TestStableLaw:
         assert got == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
+class TestReciprocalIntegerIndex:
+    """'auto' takes the composition route at nu = 1/k; every depth answers."""
+
+    @staticmethod
+    def series(law, nu, x):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            nu, x = mp.mpf(nu), mp.mpf(x)
+            if law == "h":
+                # sum_k (-1)^(k+1) Gamma(nu k + 1)/k! sin(pi nu k) x^(-nu k - 1) / pi
+                val = mp.nsum(
+                    lambda k: (-1) ** (k + 1) * mp.gamma(nu * k + 1) / mp.factorial(k)
+                    * mp.sinpi(nu * k) * x ** (-nu * k - 1),
+                    [1, mp.inf],
+                ) / mp.pi
+            else:
+                # M-Wright series sum_k (-x)^k / (k! Gamma(1 - nu - nu k))
+                val = mp.nsum(
+                    lambda k: (-x) ** k / mp.factorial(k) * mp.rgamma(1 - nu - nu * k),
+                    [0, mp.inf],
+                )
+            return float(val)
+
+    @pytest.mark.parametrize("k", range(6, 21))
+    def test_auto_matches_series(self, k):
+        nu = 1.0 / k
+        assert resolve_method("h", nu) == "conv" and resolve_method("l", nu) == "conv"
+        for x in (0.5, 1.0, 2.0):
+            for law, fn in (("h", h_density), ("l", l_density)):
+                got = fn(nu, x, 1.0)
+                assert math.isfinite(got) and got >= 0.0
+                assert got == pytest.approx(self.series(law, nu, x), rel=1e-8)
+
+
 class TestInverseLaw:
     def test_closed_value(self):
         assert l_density(0.5, 1.0, 1.0, "closed") == pytest.approx(
@@ -274,6 +309,16 @@ class TestMixedLaw:
         val = quad(lambda x: f_nu_beta(0.5, 0.5, x, 1.0), 0, np.inf, limit=200)[0]
         assert val == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("nu,beta", [(0.7, 0.5), (0.4, 0.5), (0.8, 0.5)])
+    def test_contour_matches_quadrature(self, nu, beta):
+        for x, t in ((0.3, 1.2), (1.0, 1.0), (2.5, 0.7)):
+            want = f_nu_beta(nu, beta, x, t, "quadrature")
+            assert f_nu_beta(nu, beta, x, t) == pytest.approx(want, rel=1e-7)
+
+    def test_unknown_method(self):
+        with pytest.raises(UnsupportedMethodError):
+            f_nu_beta(0.7, 0.5, 1.0, 1.0, "foxh")
+
 
 class TestIndexSets:
     def test_singleton(self):
@@ -353,9 +398,36 @@ class TestComposition:
         with pytest.raises(DomainError):
             compose_invariance_gap(mu1, mu3, [1.0], [1.0])
 
-    def test_depth_cap(self):
+    def test_quadrature_depth_cap(self):
         with pytest.raises(DomainError):
-            compose_density(1.0, [0.2] * 5, 1.0, 1.0)
+            compose_density(1.0, [0.2] * 5, 1.0, 1.0, "quadrature")
+        with pytest.raises(UnsupportedMethodError):
+            compose_density(1.0, [0.2] * 3, 1.0, 1.0, "foxh")
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0])
+    def test_contour_matches_quadrature_depth_three(self, gamma):
+        for mu in ([0.25, 0.5, 0.75], [0.5, 1.0, 1.5]):
+            for x in (0.3, 1.0, 2.5):
+                want = compose_density(gamma, mu, x, 1.3, "quadrature")
+                assert compose_density(gamma, mu, x, 1.3) == pytest.approx(want, rel=1e-8)
+
+    def test_contour_matches_quadrature_depth_four(self):
+        # a left-tail and a central point; each quadrature point costs about 1 s
+        mu = MuVector.from_integers([1, 2, 3, 4], 5)
+        for x in (0.05, 1.0):
+            want = compose_density(1.0, mu, x, 1.0, "quadrature")
+            assert compose_density(1.0, mu, x, 1.0) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_gauss_multiplication_beyond_quadrature_depth(self, n):
+        # (1,...,n)/(n+1) is the law of c t / S, S one-sided stable of index
+        # 1/(n+1), c = (n+1)^-(n+1) (acceptance criterion 4(b) at depth 4)
+        mu = MuVector.from_integers(range(1, n + 1), n + 1)
+        c = float(n + 1) ** -(n + 1)
+        for x in (0.5, 1.0, 2.0):
+            for t in (0.5, 1.0, 2.0):
+                want = c * t / x**2 * h_density(1.0 / (n + 1), c * t / x, 1.0, "foxh")
+                assert compose_density(1.0, mu, x, t) == pytest.approx(want, rel=1e-9)
 
 
 class TestTimeStretch:

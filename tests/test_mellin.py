@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy.special import kv
 
 from anomdiff.errors import PoleError, StripError
-from anomdiff.laws import h_fox, l_fox
+from anomdiff import mellin
+from anomdiff.laws import compose_fox, f_nu_beta_fox, h_fox, l_fox
 from anomdiff.mellin import (
     FoxH,
     MellinStrip,
     fox_h_eval,
     fox_h_mellin,
     mellin_convolve,
+    mellin_inverse,
     mellin_numeric,
 )
+from anomdiff.solvers import space_fractional_fox
 from anomdiff.specfun import gamma_fn
 
 SQRT_PI = math.sqrt(math.pi)
@@ -162,6 +166,35 @@ class TestFoxH:
         with pytest.raises(PoleError):
             FoxH(m=1, n=0, p=1, q=1, upper=((0.5, 0.5),), lower=((0.0, 1.0),),
                  strip=MellinStrip(-1.0, 1.0))
+
+    def test_pole_on_strip_edge_lies_outside(self):
+        # Gamma(eta) has its pole at 0: a strip end within 1e-12 of it is
+        # taken as lying on the pole, a strip end 1e-6 below it is not
+        FoxH(m=1, n=0, p=0, q=1, upper=(), lower=((0.0, 1.0),),
+             strip=MellinStrip(-1e-14, 1.0))
+        with pytest.raises(PoleError):
+            FoxH(m=1, n=0, p=0, q=1, upper=(), lower=((0.0, 1.0),),
+                 strip=MellinStrip(-1e-6, 1.0))
+        # kernels whose edge pole computes one ulp inside their strip
+        for nu in (0.3, 0.8, 0.9):
+            for beta in (0.3, 0.5, 1.0):
+                assert math.isfinite(fox_h_eval(space_fractional_fox(1.0, nu, beta), 1.0))
+        assert math.isfinite(fox_h_eval(f_nu_beta_fox(0.9, 0.5), 1.0))
+        assert math.isfinite(fox_h_eval(compose_fox(-1.0, [k / 6 for k in range(1, 6)]), 1.0))
+
+    def test_contour_cache_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(mellin, "_CONTOUR_CACHE", type(mellin._CONTOUR_CACHE)())
+        cache, size = mellin._CONTOUR_CACHE, mellin._CONTOUR_CACHE_SIZE
+        kernel = sp.gamma  # inverts to exp(-x)
+        for key in range(size):
+            assert mellin_inverse(kernel, 1.0, 1.0, cache_key=key) == pytest.approx(
+                math.exp(-1.0), rel=1e-12
+            )
+        mellin_inverse(kernel, 1.0, 1.0, cache_key=0)  # 0 becomes the most recent
+        mellin_inverse(kernel, 1.0, 1.0, cache_key=size)
+        assert len(cache) == size
+        keys = {k[0] for k in cache}
+        assert 0 in keys and size in keys and 1 not in keys
 
     def test_json_roundtrip(self):
         lh = l_fox(1 / 3)

@@ -155,6 +155,22 @@ class TestTimeFractional:
         )
         assert lhs == pytest.approx(rhs, abs=1e-5)
 
+    @pytest.mark.parametrize("gamma,mu", [(1.0, 1.5), (-1.0, 1.5), (2.0, 0.7), (-2.0, 0.7)])
+    def test_contour_matches_quadrature(self, gamma, mu):
+        for x, t in ((0.3, 1.3), (1.0, 1.0), (2.5, 0.6)):
+            want = time_fractional_solution(gamma, mu, 0.5, x, t, "quadrature")
+            assert time_fractional_solution(gamma, mu, 0.5, x, t) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("nu", [0.3, 0.4, 0.7, 0.9])
+    def test_mass_and_mean_where_the_wright_series_overflows(self, nu):
+        # the quadrature route raises 'Wright series overflow' at these nu;
+        # mean of the unit exponential law at inverse time: 1/Gamma(1 + nu)
+        f = lambda x: time_fractional_solution(1.0, 1.0, nu, x, 1.0)
+        mass = quad(f, 0, np.inf, limit=200)[0]
+        mean = quad(lambda x: x * f(x), 0, np.inf, limit=200)[0]
+        assert mass == pytest.approx(1.0, abs=1e-10)
+        assert mean == pytest.approx(1.0 / gamma_fn(1.0 + nu), abs=1e-7)
+
 
 class TestFractionalPower:
     def test_classical_limit(self, gamma2_grid):
@@ -206,6 +222,16 @@ class TestSpaceFractional:
                     assert space_fractional_density(1.0, nu, beta, x, t, route) == pytest.approx(
                         di, abs=1e-4
                     )
+
+    @pytest.mark.parametrize("nu,beta", [(0.3, 0.3), (0.8, 1.0), (0.9, 0.5)])
+    def test_contour_at_indices_with_a_pole_on_the_strip_edge(self, nu, beta):
+        # the pole of Gamma((eta-1)/nu + 1) at eta = 1 - nu sits on the strip
+        # end and used to compute one ulp inside the strip (PoleError)
+        for x in (0.5, 1.0, 2.0):
+            got = space_fractional_density(1.0, nu, beta, x, 1.0, "foxh")
+            assert math.isfinite(got)
+            want = space_fractional_density(1.0, nu, beta, x, 1.0, "double_integral")
+            assert got == pytest.approx(want, rel=1e-8)
 
     def test_self_similarity(self):
         # profile scaling g(x, t) = t^(-b/n) g(x t^(-b/n), 1)
