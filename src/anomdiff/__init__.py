@@ -18,7 +18,6 @@ from .frac_calc import GridFunction, PowerLaw, caputo, frac_integral, rl_left, r
 from .laws import (
     GGLaw,
     MuVector,
-    SubordinatorSpec,
     TimeStretch,
     compose_density,
     compose_fox,

@@ -123,6 +123,17 @@ _BVP_PRESETS = {
 }
 
 
+class _CsvDatum:
+    """Piecewise-linear datum through the (x, m0) rows of a CSV file; its
+    `nodes` are the break points of project_coefficients."""
+
+    def __init__(self, data):
+        self.nodes, self.values = data[:, 0], data[:, 1]
+
+    def __call__(self, x):
+        return float(np.interp(x, self.nodes, self.values))
+
+
 def cmd_solve_bvp(params, seed, out, fmt):
     gamma = params.get("gamma", 1.0)
     mu = _mu(params)
@@ -133,8 +144,7 @@ def cmd_solve_bvp(params, seed, out, fmt):
     if preset in _BVP_PRESETS:
         m0 = _BVP_PRESETS[preset](es)
     elif preset.endswith(".csv"):
-        data = np.loadtxt(preset, delimiter=",")
-        m0 = lambda x: float(np.interp(x, data[:, 0], data[:, 1]))
+        m0 = _CsvDatum(np.loadtxt(preset, delimiter=","))
     else:
         raise UnsupportedMethodError(f"unknown initial datum preset {preset!r}")
     spec = solvers.BVPSpec(gamma, mu, nu, m0, n_terms=n_terms)

@@ -12,13 +12,13 @@ algebraic-weight quadrature; power laws are differentiated by the exact rule.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DivergentTailError, DomainError
+from .mellin import quad
 from .specfun import gamma_fn
 
 __all__ = [
@@ -74,11 +74,6 @@ class GridFunction:
         self.extrapolation_decay = float(extrapolation_decay)
         self._derivative = None
 
-    @classmethod
-    def from_callable(cls, f, nodes, extrapolation_decay: float = -np.inf) -> "GridFunction":
-        nodes = np.asarray(nodes, dtype=float)
-        return cls(nodes, np.asarray([f(s) for s in nodes], dtype=float), extrapolation_decay)
-
     def __call__(self, s):
         scalar = np.ndim(s) == 0
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -110,22 +105,8 @@ class GridFunction:
         return self._derivative
 
     @property
-    def min_gap(self) -> float:
-        return float(np.min(np.diff(self.nodes)))
-
-    @property
     def x_max(self) -> float:
         return float(self.nodes[-1])
-
-
-def _quad(fn, a, b, **kw):
-    kw.setdefault("epsabs", 1e-11)
-    kw.setdefault("epsrel", 1e-9)
-    kw.setdefault("limit", 200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(fn, a, b, **kw)
-    return val
 
 
 def _segment_sum(w, v, a: float) -> float:
@@ -182,11 +163,7 @@ def _left_alg_integral(f, a: float, y: float) -> float:
         return 0.0
     if isinstance(f, GridFunction):
         return _grid_left_alg_integral(f, a, y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(f, 0.0, y, weight="alg", wvar=(0.0, -a),
-                                epsabs=1e-12, epsrel=1e-10, limit=200)
-    return val
+    return quad(f, 0.0, y, weight="alg", wvar=(0.0, -a), epsabs=1e-12, epsrel=1e-10, limit=200)
 
 
 def _right_alg_integral(f, a: float, x: float) -> float:
@@ -196,11 +173,9 @@ def _right_alg_integral(f, a: float, x: float) -> float:
     if isinstance(f, GridFunction):
         return _grid_right_alg_integral(f, a, x)
     w0 = max(1.0, 0.5 * abs(x))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        near, _ = integrate.quad(lambda w: f(x + w), 0.0, w0, weight="alg",
-                                 wvar=(-a, 0.0), epsabs=1e-12, epsrel=1e-10, limit=200)
-    far = _quad(lambda w: w ** (-a) * f(x + w), w0, np.inf)
+    near = quad(lambda w: f(x + w), 0.0, w0, weight="alg", wvar=(-a, 0.0),
+                epsabs=1e-12, epsrel=1e-10, limit=200)
+    far = quad(lambda w: w ** (-a) * f(x + w), w0, np.inf, limit=200)
     return near + far
 
 

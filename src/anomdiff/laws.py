@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     ConvergenceError,
@@ -42,12 +41,11 @@ from .errors import (
     StripError,
     UnsupportedMethodError,
 )
-from .mellin import FoxH, MellinStrip, fox_h_eval
+from .mellin import FoxH, MellinStrip, fox_h_eval, quad
 from .specfun import bessel_k, gamma_fn, wright_w
 
 __all__ = [
     "GGLaw",
-    "SubordinatorSpec",
     "MuVector",
     "TimeStretch",
     "gg_density",
@@ -89,20 +87,6 @@ class GGLaw:
             raise DomainError("gamma must be non-zero")
         if not self.mu > 0:
             raise DomainError("mu must be positive")
-
-
-@dataclass(frozen=True)
-class SubordinatorSpec:
-    """Stability index nu (space) and optional time index beta, both in (0, 1]."""
-
-    nu: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.nu <= 1:
-            raise DomainError("nu must lie in (0, 1]")
-        if not 0 < self.beta <= 1:
-            raise DomainError("beta must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -267,21 +251,6 @@ def econv(gamma: float, mu1: float, mu2: float, x: float, t: float) -> float:
     )
 
 
-def _log_quad(fn, lo: float = -60.0, hi: float = 60.0) -> float:
-    import warnings
-
-    def g(u):
-        s = math.exp(u)
-        return fn(s) * s
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(g, lo, hi, limit=300, epsabs=1e-11, epsrel=1e-9)
-    if not math.isfinite(val):
-        raise ConvergenceError("composition quadrature failed")
-    return val
-
-
 def compose_fox(gamma: float, mu) -> FoxH:
     """H-function object of the n-fold composition at unit time; kernel
     prod_j Gamma((eta-1)/gamma + mu_j) / Gamma(mu_j).
@@ -340,7 +309,7 @@ def compose_density(gamma: float, mu, x: float, t: float, method: str = "auto") 
     def integrand(s):
         return gg_density(law0, x, s, tilde=True) * compose_density(1.0, rest, s, inner_t, "quadrature")
 
-    return _log_quad(integrand)
+    return quad(integrand, -60.0, 60.0, log=True)
 
 
 def compose_mellin(gamma: float, mu, t: float, eta: float) -> float:
@@ -561,7 +530,7 @@ def f_nu_beta(nu: float, beta: float, x: float, t: float, method: str = "auto") 
     'quadrature' is the independent oracle, adaptive quadrature of the
     integral above over h_density and l_density on their auto routes.
     Degenerate ends: beta = 1 gives the plain stable law, nu = 1 the plain
-    inverse law.
+    inverse law, which alone is positive at x = 0.
     """
     if method not in ("auto", "quadrature"):
         raise UnsupportedMethodError(f"unknown method {method!r} for f_nu_beta")
@@ -571,12 +540,12 @@ def f_nu_beta(nu: float, beta: float, x: float, t: float, method: str = "auto") 
         raise DomainError("need x >= 0, t > 0")
     if nu == 1.0 and beta == 1.0:
         return math.nan  # point mass at x = t has no density
-    if beta == 1.0:
-        return h_density(nu, x, t)
     if nu == 1.0:
         return l_density(beta, x, t) if x > 0 else l_density(beta, 1e-300, t)
     if x == 0.0:
         return 0.0
+    if beta == 1.0:
+        return h_density(nu, x, t)
     if method == "auto":
         scale = t ** (beta / nu)
         return fox_h_eval(f_nu_beta_fox(nu, beta), x / scale) / scale
@@ -584,7 +553,7 @@ def f_nu_beta(nu: float, beta: float, x: float, t: float, method: str = "auto") 
     def integrand(s):
         return h_density(nu, x, s) * l_density(beta, s, t)
 
-    return _log_quad(integrand)
+    return quad(integrand, -60.0, 60.0, log=True)
 
 
 def index_set(kind: str, n: int, kappa: int, target: int) -> list:

@@ -4,7 +4,8 @@ Numerical Mellin transforms on (0, inf), the multiplicative (Mellin)
 convolution, and H-functions defined through a ratio of Gamma products:
 the transform kernel is evaluated directly and the function itself is
 recovered by quadrature along a vertical contour inside the fundamental
-strip.
+strip.  `quad` is the one adaptive-quadrature helper of the library: it
+checks every error estimate.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError, PoleError, StripError
+from .specfun import _is_nonpositive_integer
 
 __all__ = [
     "MellinStrip",
@@ -56,8 +58,7 @@ class MellinStrip:
         return 0.0
 
 
-def _is_nonpositive_integer(x: float, tol: float = 1e-9) -> bool:
-    return x < 0.5 and abs(x - round(x)) <= tol
+_POLE_TOL = 1e-9  # a Gamma argument this close to 0, -1, -2, ... is a pole
 
 
 def _on_edge(eta: float, end: float) -> bool:
@@ -104,7 +105,7 @@ class FoxH:
         for j, (b, be) in enumerate(self.lower):
             if j < self.m:
                 if be == 0.0:
-                    if _is_nonpositive_integer(b):
+                    if _is_nonpositive_integer(b, _POLE_TOL):
                         poles.append(-math.inf)  # constant factor is itself singular
                     continue
                 # Gamma(b + eta*be): poles at eta = -(b + k)/be, descending
@@ -120,7 +121,7 @@ class FoxH:
         for i, (a, al) in enumerate(self.upper):
             if i < self.n:
                 if al == 0.0:
-                    if _is_nonpositive_integer(1.0 - a):
+                    if _is_nonpositive_integer(1.0 - a, _POLE_TOL):
                         poles.append(math.inf)
                     continue
                 # Gamma(1 - a - eta*al): poles at eta = (1 - a + k)/al, ascending
@@ -196,7 +197,7 @@ def fox_h_mellin(h: FoxH, eta: float) -> float:
         raise StripError(f"eta={eta} outside strip ({h.strip.a}, {h.strip.b})")
 
     def term(val):
-        if _is_nonpositive_integer(val):
+        if _is_nonpositive_integer(val, _POLE_TOL):
             raise PoleError(f"gamma pole at argument {val}")
         return val
 
@@ -305,16 +306,40 @@ def fox_h_eval(h: FoxH, x: float, *, abscissa: float | None = None, tol: float =
     return mellin_inverse(h.kernel, x, c, tol=tol, cache_key=h)
 
 
-def _quad_real_line(fn, *, abs_tol: float, window: tuple[float, float] = (-80.0, 80.0)) -> tuple[float, float]:
-    # the default log-axis window covers x in [1.8e-35, 5.5e34]; integrands of
-    # strip-interior transforms are below tolerance outside it
-    lo, hi = window
-    pts = [0.0] if lo < 0.0 < hi else None
+def quad(fn, a: float, b: float, *, log: bool = False, vector: bool = False,
+         epsabs: float = 1e-11, epsrel: float = 1e-9, limit: int = 300,
+         budget: float | None = None, **quad_kw):
+    """int_a^b fn(s) ds by adaptive QUADPACK quadrature; with log=True,
+    int fn(s) ds over s = e^u for u in [a, b].  With vector=True, fn returns
+    an array and every entry is integrated on one adaptive mesh (scipy's
+    quad_vec, max norm).  Further keywords (points, weight, wvar) go to scipy.
+
+    Every adaptive quadrature of the library runs here.  The value is
+    returned only when it is finite and the error estimate is at most
+    max(budget, 1e-6 |value|), with |value| the largest entry and budget
+    defaulting to epsabs; otherwise ConvergenceError names both.
+    """
+    g = fn
+    if log:
+
+        def g(u):
+            s = math.exp(u)
+            return fn(s) * s
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(fn, lo, hi, points=pts, epsabs=abs_tol * 0.1,
-                                  epsrel=1e-10, limit=400)
-    return val, err
+        if vector:
+            val, err = integrate.quad_vec(g, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                                          norm="max", **quad_kw)
+        else:
+            val, err = integrate.quad(g, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, **quad_kw)
+    size = float(np.max(np.abs(val)))
+    if not math.isfinite(size) or err > max(epsabs if budget is None else budget, 1e-6 * size):
+        raise ConvergenceError(
+            f"quadrature over ({a}, {b}){' on the log axis' if log else ''} failed: "
+            f"value {size:.6g}, error estimate {err:.2e}"
+        )
+    return val
 
 
 def mellin_numeric(f, eta: float, *, strip: MellinStrip | None = None,
@@ -327,9 +352,11 @@ def mellin_numeric(f, eta: float, *, strip: MellinStrip | None = None,
     """
     if strip is not None and not strip.contains(eta):
         raise StripError(f"eta={eta} outside declared strip")
-    window = (-80.0, 80.0)
+    # the default log-axis window covers x in [1.8e-35, 5.5e34]; integrands of
+    # strip-interior transforms are below tolerance outside it
+    lo, hi = -80.0, 80.0
     if support is not None:
-        window = (math.log(support[0]), math.log(support[1]))
+        lo, hi = math.log(support[0]), math.log(support[1])
 
     def g(u):
         if abs(u) > 345.0:  # x beyond double range; a convergent transform is zero here
@@ -343,12 +370,8 @@ def mellin_numeric(f, eta: float, *, strip: MellinStrip | None = None,
             return math.inf  # divergent transform: let quadrature report it
         return math.copysign(math.exp(log_mag), fx)
 
-    val, err = _quad_real_line(g, abs_tol=abs_tol, window=window)
-    if not math.isfinite(val) or err > max(abs_tol, 1e-6 * abs(val)):
-        raise ConvergenceError(
-            f"Mellin transform quadrature failed at eta={eta} (err={err:.2e})"
-        )
-    return val
+    return quad(g, lo, hi, points=[0.0] if lo < 0.0 < hi else None,
+                epsabs=abs_tol * 0.1, epsrel=1e-10, limit=400, budget=abs_tol)
 
 
 def mellin_convolve(f1, f2, x: float) -> float:
@@ -368,7 +391,4 @@ def mellin_convolve(f1, f2, x: float) -> float:
             return 0.0
         return f1(r) * v2
 
-    val, err = _quad_real_line(g, abs_tol=1e-11)
-    if not math.isfinite(val) or err > max(1e-9, 1e-6 * abs(val)):
-        raise ConvergenceError(f"Mellin convolution quadrature failed at x={x}")
-    return val
+    return quad(g, -80.0, 80.0, points=[0.0], epsabs=1e-12, epsrel=1e-10, limit=400, budget=1e-9)

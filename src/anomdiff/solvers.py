@@ -3,7 +3,7 @@
 The subordination solution on the half-line (an H-function, with its
 subordination integral kept as the quadrature oracle), the Bessel
 eigenfunction series on the unit interval, the fractional power of the
-adjoint generator, the mixed space-fractional density with its three
+adjoint generator, the mixed space-fractional density with its two
 evaluation routes, and residual checks of the governing Mellin/Laplace
 identities.
 """
@@ -11,17 +11,16 @@ identities.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import ConvergenceError, DomainError, StripError, UnsupportedMethodError
 from .frac_calc import GridFunction, rl_left, rl_right
 from .laws import GGLaw, f_nu_beta, gg_density, h_density, l_density, ratio_density
-from .mellin import FoxH, MellinStrip, fox_h_eval, mellin_inverse
+from .mellin import FoxH, MellinStrip, fox_h_eval, quad
 from .specfun import MLParams, bessel_j, bessel_j_zeros, gamma_fn, mittag_leffler
 
 __all__ = [
@@ -43,19 +42,6 @@ __all__ = [
     "mellin_time_rule_residual",
     "double_laplace_residual",
 ]
-
-_EPS_CUT = 1e-8  # lower cutoff for integrals against non-integrable weights
-
-
-def _quad(fn, a, b, **kw):
-    kw.setdefault("epsabs", 1e-12)
-    kw.setdefault("epsrel", 1e-10)
-    kw.setdefault("limit", 300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(fn, a, b, **kw)
-    return val
-
 
 # ---------------------------------------------------------------------------
 # eigen system on (0, 1)
@@ -80,12 +66,11 @@ class EigenSystem:
     def weight(self, x):
         return np.asarray(x, dtype=float) ** (self.gamma * self.mu - 1.0)
 
-    def eigenfunction(self, k: int, x):
+    def eigenfunction(self, k, x):
+        """psi_k(x); an array of mode indices k gives every psi_k at one x."""
         x = np.asarray(x, dtype=float)
         g, mu = self.gamma, self.mu
-        return x ** (0.5 * g * (1.0 - mu)) * np.vectorize(
-            lambda z: bessel_j(mu - 1.0, z)
-        )(self.zeros[k] * x ** (0.5 * g))
+        return x ** (0.5 * g * (1.0 - mu)) * special.jv(mu - 1.0, np.asarray(self.zeros)[k] * x ** (0.5 * g))
 
     def with_coefficients(self, coeffs) -> "EigenSystem":
         return EigenSystem(self.gamma, self.mu, self.zeros, self.norms, tuple(coeffs))
@@ -103,58 +88,43 @@ class EigenSystem:
 def eigen_system(gamma: float, mu: float, n_modes: int) -> EigenSystem:
     """Zeros, eigenfunctions and weighted norms of the first n_modes modes.
 
-    For gamma > 0 the squared norm is J'_{mu-1}(kappa)^2 / gamma, with the
-    derivative taken by a centered difference of step 1e-6 and cross-checked
-    against -J_mu(kappa) to 1e-8.  For gamma < 0 the closed expression does
-    not apply and norms are integrated numerically on (1e-8, 1).
+    The squared norm is J'_{mu-1}(kappa)^2 / gamma, with the derivative taken
+    by a centered difference of step 1e-6 and cross-checked against
+    -J_mu(kappa) to 1e-8.  Only gamma > 0 has finite norms: with
+    y = x^(gamma/2) the squared norm is (2/|gamma|) int y J_{mu-1}(kappa y)^2 dy
+    over (0, 1) for gamma > 0, but over (1, inf) for gamma < 0, where it
+    diverges.
     """
-    if gamma == 0:
-        raise DomainError("gamma must be non-zero")
+    if not gamma > 0:
+        raise DomainError(
+            "eigen_system needs gamma > 0: for gamma < 0 the squared weighted norm "
+            "(2/|gamma|) int_1^inf y J_{mu-1}(kappa y)^2 dy diverges"
+        )
     if not mu > 0:
         raise DomainError("mu must be positive")
     if n_modes < 1:
         raise DomainError("need at least one mode")
     kappas = bessel_j_zeros(mu - 1.0, n_modes)
-    if gamma > 0:
-        h = 1e-6
-        norms = []
-        for k in kappas:
-            jp = (bessel_j(mu - 1.0, k + h) - bessel_j(mu - 1.0, k - h)) / (2.0 * h)
-            jp_id = -bessel_j(mu, k) + (mu - 1.0) / k * bessel_j(mu - 1.0, k)
-            if abs(jp - jp_id) > 1e-8:
-                raise ConvergenceError("Bessel derivative cross-check failed")
-            norms.append(jp * jp / gamma)
-        es = EigenSystem(gamma, mu, tuple(float(k) for k in kappas), tuple(norms))
-    else:
-        es0 = EigenSystem(gamma, mu, tuple(float(k) for k in kappas), tuple([1.0] * n_modes))
-        norms = []
-        for k in range(n_modes):
-            val = _quad(
-                lambda x: float(es0.eigenfunction(k, x)) ** 2 * float(es0.weight(x)),
-                _EPS_CUT,
-                1.0,
-            )
-            norms.append(val)
-        es = EigenSystem(gamma, mu, tuple(float(k) for k in kappas), tuple(norms))
-    return es
+    h = 1e-6
+    norms = []
+    for k in kappas:
+        jp = (bessel_j(mu - 1.0, k + h) - bessel_j(mu - 1.0, k - h)) / (2.0 * h)
+        jp_id = -bessel_j(mu, k) + (mu - 1.0) / k * bessel_j(mu - 1.0, k)
+        if abs(jp - jp_id) > 1e-8:
+            raise ConvergenceError("Bessel derivative cross-check failed")
+        norms.append(jp * jp / gamma)
+    return EigenSystem(gamma, mu, tuple(float(k) for k in kappas), tuple(norms))
 
 
 def project_coefficients(es: EigenSystem, m0) -> np.ndarray:
-    """Coefficients c_k = int_0^1 m0(x) psi_k(x) dx of an initial datum.
-
-    For gamma < 0 the integral runs over (1e-8, 1) and m0 must vanish at the
-    origin at least like x^(mu+1); the rate is checked numerically.
-    """
-    lo = 0.0
-    if es.gamma < 0:
-        lo = _EPS_CUT
-        probe = 1e-6
-        if abs(m0(probe)) > 10.0 * probe ** (es.mu + 1.0):
-            raise DomainError("initial datum must vanish like x^(mu+1) at the origin")
-    out = []
-    for k in range(len(es.zeros)):
-        out.append(_quad(lambda x: m0(x) * float(es.eigenfunction(k, x)), lo, 1.0))
-    return np.array(out)
+    """Coefficients c_k = int_0^1 m0(x) psi_k(x) dx of an initial datum, all
+    modes on one adaptive mesh.  A datum with a `nodes` attribute (such as a
+    GridFunction) has the nodes inside (0, 1) as break points, so that a
+    piecewise-linear datum is integrated panel by panel."""
+    modes = np.arange(len(es.zeros))
+    nodes = getattr(m0, "nodes", ())
+    return quad(lambda x: m0(x) * es.eigenfunction(modes, x), 0.0, 1.0, vector=True, points=nodes,
+                epsabs=1e-12, epsrel=1e-10, limit=300 + len(nodes))
 
 
 @dataclass(frozen=True)
@@ -169,8 +139,8 @@ class BVPSpec:
     n_terms: int = 50
 
     def __post_init__(self):
-        if self.gamma == 0:
-            raise DomainError("gamma must be non-zero")
+        if not self.gamma > 0:
+            raise DomainError("gamma must be positive")
         if not self.mu > 0:
             raise DomainError("mu must be positive")
         if not 0 < self.nu <= 1:
@@ -201,39 +171,13 @@ class _SeriesSolution:
             acc += self.coeffs[k] * tf * float(es.eigenfunction(k, x)) / es.norms[k]
         return float(es.weight(x)) * acc
 
-    def profile_in_time(self, x: float, ts) -> np.ndarray:
-        """Series values at fixed x over an array of times; the spatial
-        factors are computed once."""
-        es, spec = self.es, self.spec
-        lam = (np.asarray(es.zeros) / 2.0) ** 2
-        spatial = np.array(
-            [self.coeffs[k] * float(es.eigenfunction(k, x)) / es.norms[k] for k in range(spec.n_terms)]
-        )
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros_like(ts)
-        ml = MLParams(spec.nu)
-        for j, t in enumerate(ts):
-            acc = 0.0
-            for k in range(spec.n_terms):
-                acc += spatial[k] * mittag_leffler(ml, -float(lam[k]) * t**spec.nu)
-            out[j] = acc
-        return float(es.weight(x)) * out
-
     def eigen_system_with_coefficients(self) -> EigenSystem:
         return self.es.with_coefficients(self.coeffs)
 
 
-_SOLUTION_CACHE: dict = {}
-
-
+@lru_cache(maxsize=32)
 def sturm_liouville_solution(spec: BVPSpec) -> _SeriesSolution:
-    sol = _SOLUTION_CACHE.get(spec)
-    if sol is None:
-        if len(_SOLUTION_CACHE) > 32:
-            _SOLUTION_CACHE.clear()
-        sol = _SeriesSolution(spec)
-        _SOLUTION_CACHE[spec] = sol
-    return sol
+    return _SeriesSolution(spec)
 
 
 def sturm_liouville_solve(spec: BVPSpec, x: float, t: float) -> float:
@@ -299,11 +243,7 @@ def time_fractional_solution(gamma: float, mu: float, nu: float, x: float, t: fl
     def integrand(u):
         return gg_density(law, x, scale * u, tilde=True) * l_density(nu, u, 1.0)
 
-    def g(v):
-        u = math.exp(v)
-        return integrand(u) * u
-
-    return _quad(g, -40.0, 12.0, epsabs=1e-11, epsrel=1e-9)
+    return quad(integrand, -40.0, 12.0, log=True)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +409,7 @@ def space_fractional_density(
     solving the space-fractional evolution problem.
 
     Routes: 'double_integral' (quadrature of the gamma law against the mixed
-    time density), 'foxh' (self-similar profile via the H-function object),
-    'mellin_inversion' (direct contour inversion of the transform at (x, t)).
+    time density) and 'foxh' (self-similar profile via the H-function object).
     """
     if not (x > 0 and t > 0):
         raise DomainError("x and t must be positive")
@@ -500,24 +439,12 @@ def space_fractional_density(
             def mix(s):
                 return f_nu_beta(nu, beta, s, t)
 
-        def g(v):
-            s = math.exp(v)
-            return gg_density(law, x, s) * mix(s) * s
-
-        return _quad(g, -45.0, 45.0, epsabs=1e-11, epsrel=1e-8)
+        return quad(lambda s: gg_density(law, x, s) * mix(s), -45.0, 45.0, log=True, epsrel=1e-8)
     if nu == 1.0:
-        raise UnsupportedMethodError("transform routes need nu < 1; use double_integral")
+        raise UnsupportedMethodError("the foxh route needs nu < 1; use double_integral")
     if route == "foxh":
         scale = t ** (beta / nu)
         return fox_h_eval(space_fractional_fox(mu, nu, beta), x / scale) / scale
-    if route == "mellin_inversion":
-        fox = space_fractional_fox(mu, nu, beta)
-
-        def kernel(eta):
-            return fox.kernel(eta) * t ** (beta * (eta - 1.0) / nu)
-
-        c = fox.strip.default_abscissa()
-        return mellin_inverse(kernel, x, c, cache_key=("space_frac", mu, nu, beta, t))
     raise UnsupportedMethodError(f"unknown route {route!r}")
 
 
@@ -563,7 +490,7 @@ def double_laplace_residual(nu: float, beta: float, xi: float, lam: float) -> fl
     def a_of(s):
         # x = s^(1/nu) y keeps the unit-time stable profile fixed for every s
         c = s ** (1.0 / nu)
-        return _quad(
+        return quad(
             lambda y: math.exp(-min(xi * c * y, 700.0)) * h_density(nu, y, 1.0),
             0.0,
             np.inf,
@@ -573,8 +500,8 @@ def double_laplace_residual(nu: float, beta: float, xi: float, lam: float) -> fl
 
     closed = lam ** (beta - 1.0) / (lam**beta + xi**nu)
     if beta == 1.0:
-        num = _quad(lambda s: math.exp(-lam * s) * a_of(s), 0.0, np.inf,
-                    epsabs=1e-9, epsrel=1e-7, limit=100)
+        num = quad(lambda s: math.exp(-lam * s) * a_of(s), 0.0, np.inf,
+                   epsabs=1e-9, epsrel=1e-7, limit=100)
         return abs(num - closed)
 
     def b_of(s):
@@ -585,11 +512,7 @@ def double_laplace_residual(nu: float, beta: float, xi: float, lam: float) -> fl
         def g(v):
             return math.exp(-v) * v**-beta * l_density(beta, max(a_arg * v**-beta, 1e-290), 1.0)
 
-        return lam ** (beta - 1.0) * _quad(g, 0.0, np.inf, epsabs=1e-10, epsrel=1e-8)
+        return lam ** (beta - 1.0) * quad(g, 0.0, np.inf, epsabs=1e-10, epsrel=1e-8)
 
-    def outer(u):
-        s = math.exp(u)
-        return a_of(s) * b_of(s) * s
-
-    num = _quad(outer, -16.0, 34.0, epsabs=1e-8, epsrel=1e-6, limit=120)
+    num = quad(lambda s: a_of(s) * b_of(s), -16.0, 34.0, log=True, epsabs=1e-8, epsrel=1e-6, limit=120)
     return abs(num - closed)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from anomdiff import cli, verify
 
@@ -171,6 +172,29 @@ class TestSolveBvp:
         assert run_cli([
             "--command", "solve-bvp", "--param", "m0=mystery",
         ]) == 2
+
+    def test_csv_datum(self, tmp_path):
+        # 101 nodes, so 99 kinks inside (0, 1); the oracle sums quad over
+        # every panel
+        x = np.linspace(0.0, 1.0, 101)
+        y = 0.3 + x * (1.0 - x)
+        datum = tmp_path / "m0.csv"
+        np.savetxt(datum, np.column_stack([x, y]), delimiter=",")
+        out = tmp_path / "bvp.csv"
+        assert run_cli([
+            "--command", "solve-bvp", "--param", f"m0={datum}", "--param", "n_terms=12",
+            "--out", str(out),
+        ]) == 0
+        coeffs = json.loads((tmp_path / "bvp.csv.eigen.json").read_text())["coefficients"]
+        from anomdiff.solvers import eigen_system
+
+        es = eigen_system(1.0, 1.0, 12)
+        for k in (0, 5, 11):
+            want = sum(
+                quad(lambda s: np.interp(s, x, y) * float(es.eigenfunction(k, s)), a, b)[0]
+                for a, b in zip(x[:-1], x[1:])
+            )
+            assert coeffs[k] == pytest.approx(want, abs=1e-12)
 
 
 class TestSample:

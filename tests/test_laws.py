@@ -12,7 +12,6 @@ from anomdiff.errors import DomainError, StripError, UnsupportedMethodError
 from anomdiff.laws import (
     GGLaw,
     MuVector,
-    SubordinatorSpec,
     TimeStretch,
     compose_density,
     compose_invariance_gap,
@@ -102,8 +101,6 @@ class TestGGLaw:
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
             GGLaw(0.0, 1.0)
-        with pytest.raises(DomainError):
-            SubordinatorSpec(1.5)
 
 
 class TestClosedConvolutions:
@@ -304,6 +301,10 @@ class TestMixedLaw:
 
     def test_beta_one_degenerates_to_stable(self):
         assert f_nu_beta(0.5, 1.0, 1.0, 1.0) == pytest.approx(levy_density(1.0, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("nu,beta", [(0.5, 1.0), (0.5, 0.5), (0.7, 0.3)])
+    def test_zero_at_origin(self, nu, beta):
+        assert f_nu_beta(nu, beta, 0.0, 1.0) == 0.0
 
     def test_normalization(self):
         val = quad(lambda x: f_nu_beta(0.5, 0.5, x, 1.0), 0, np.inf, limit=200)[0]

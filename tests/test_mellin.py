@@ -1,12 +1,16 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy.integrate import IntegrationWarning
 from scipy.special import kv
 
-from anomdiff.errors import PoleError, StripError
+from anomdiff.errors import ConvergenceError, PoleError, StripError
 from anomdiff import mellin
+from anomdiff.frac_calc import GridFunction, rl_left
 from anomdiff.laws import compose_fox, f_nu_beta_fox, h_fox, l_fox
 from anomdiff.mellin import (
     FoxH,
@@ -196,6 +200,17 @@ class TestFoxH:
         keys = {k[0] for k in cache}
         assert 0 in keys and size in keys and 1 not in keys
 
+    def test_pole_tolerance_is_relative(self):
+        # a Gamma argument within 1e-9 max(1, |x|) of 0, -1, -2, ... is a pole
+        def fox(b):
+            return FoxH(2, 0, 0, 2, (), ((0.0, 1.0), (b, 0.0)), MellinStrip(0.0, 1.0))
+
+        for b in (-1.0000000005, -3.0000000025):
+            with pytest.raises(PoleError):
+                fox(b)
+        for b in (-1.0000000015, -3.0000000035):
+            assert math.isfinite(fox_h_mellin(fox(b), 0.5))
+
     def test_json_roundtrip(self):
         lh = l_fox(1 / 3)
         doc = lh.to_json()
@@ -205,3 +220,50 @@ class TestFoxH:
 
         keys = set(json.loads(doc))
         assert {"m", "n", "p", "q", "upper", "lower", "strip"} <= keys
+
+
+class TestQuad:
+    def test_log_axis(self):
+        # int_0^inf s e^-s ds = 1 over s = e^u
+        got = mellin.quad(lambda s: s * math.exp(-s), -40.0, 6.0, log=True)
+        assert got == pytest.approx(1.0, rel=1e-9)
+
+    def test_unmet_budget_raises(self):
+        with pytest.raises(ConvergenceError, match="error estimate"):
+            mellin.quad(lambda x: math.sin(1.0 / x) / x, 1e-8, 1.0, limit=10)
+
+    def test_no_integration_warning_escapes_a_library_call(self):
+        # quad warns on both integrands: the kinked one still meets its
+        # budget; sin(1/s)/s oscillates without bound at 0 and does not
+        nodes = np.geomspace(1e-3, 20.0, 10)
+        gf = GridFunction(nodes, nodes * np.exp(-nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            assert math.isfinite(mellin_numeric(gf, 1.5, support=(1e-3, 20.0)))
+            with pytest.raises(ConvergenceError):
+                rl_left(0.5, lambda s: math.sin(1.0 / s) / s, 1.0)
+
+    def test_acceptance_budgets(self, monkeypatch):
+        # quad is asked for 1e-12 and abs_tol/10, but mellin_convolve accepts
+        # an error estimate up to 1e-9 and mellin_numeric up to abs_tol
+        calls = {
+            1e-9: lambda: mellin_convolve(math.exp, math.exp, 1.0),
+            1e-4: lambda: mellin_numeric(math.exp, 0.5, abs_tol=1e-4),
+        }
+        for budget, call in calls.items():
+            monkeypatch.setattr(mellin.integrate, "quad", lambda *a, **k: (1e-3, 0.5 * budget))
+            assert call() == 1e-3
+            monkeypatch.setattr(mellin.integrate, "quad", lambda *a, **k: (1e-3, 2.0 * budget))
+            with pytest.raises(ConvergenceError):
+                call()
+
+    def test_only_the_helper_calls_quad(self):
+        # verify.py holds check code with its own direct quad calls
+        src = Path(mellin.__file__).parent
+        offenders = [
+            p.name
+            for p in sorted(src.glob("*.py"))
+            if p.name not in ("mellin.py", "verify.py")
+            and ("integrate.quad" in p.read_text() or "IntegrationWarning" in p.read_text())
+        ]
+        assert offenders == []
