@@ -53,6 +53,15 @@ def _parse_params(pairs):
     return params
 
 
+def _emit(path, text):
+    """Write text to the file at `path`, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _write_rows(path, header, rows, fmt="csv"):
     if fmt == "json":
         doc = {"columns": list(header), "rows": [list(r) for r in rows]}
@@ -61,21 +70,16 @@ def _write_rows(path, header, rows, fmt="csv"):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, doc):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _times(params, default):
+    """The semicolon-separated list of times in --param t."""
+    return [float(v) for v in str(params.get("t", default)).split(";") if v]
 
 
 def _grid(params):
@@ -84,8 +88,7 @@ def _grid(params):
     nx = params.get("nx", 30)
     if nx < 1 or xmax < xmin or xmin <= 0:
         raise DomainError("invalid grid: need xmin > 0, xmax >= xmin, nx >= 1")
-    ts = [float(v) for v in str(params.get("t", "1.0")).split(";") if v]
-    return np.linspace(xmin, xmax, int(nx)), ts
+    return np.linspace(xmin, xmax, int(nx)), _times(params, "1.0")
 
 
 def cmd_tabulate(params, seed, out, fmt):
@@ -93,26 +96,7 @@ def cmd_tabulate(params, seed, out, fmt):
     if name is None:
         raise DomainError("tabulate requires --param density=<name>")
     xs, ts = _grid(params)
-    if name in ("g_nu_beta", "u_time_frac"):
-        rows = []
-        for t in ts:
-            for x in xs:
-                if name == "g_nu_beta":
-                    v = solvers.space_fractional_density(
-                        _mu(params), params.get("nu", 0.5),
-                        params.get("beta", 1.0), float(x), float(t),
-                        params.get("route", "double_integral"),
-                    )
-                    rows.append((float(x), float(t), v, params.get("route", "double_integral")))
-                else:
-                    v = solvers.time_fractional_solution(
-                        params.get("gamma", 1.0), _mu(params),
-                        params.get("nu", 0.5), float(x), float(t),
-                    )
-                    rows.append((float(x), float(t), v, "subordination"))
-    else:
-        rows = tabulate_density(name, params, xs, ts)
-    _write_rows(out, ("x", "t", "value", "method"), rows, fmt)
+    _write_rows(out, ("x", "t", "value", "method"), tabulate_density(name, params, xs, ts), fmt)
     return 0
 
 
@@ -152,9 +136,8 @@ def cmd_solve_bvp(params, seed, out, fmt):
     xmin = params.get("xmin", 0.05)
     xmax = params.get("xmax", 0.95)
     nx = params.get("nx", 19)
-    ts = [float(v) for v in str(params.get("t", "0.5")).split(";") if v]
     rows = []
-    for t in ts:
+    for t in _times(params, "0.5"):
         for x in np.linspace(xmin, xmax, int(nx)):
             rows.append((float(x), float(t), sol(float(x), float(t))))
     _write_rows(out, ("x", "t", "value"), rows, fmt)
@@ -185,12 +168,7 @@ def cmd_sample(params, seed, out, fmt):
         raise DomainError("sample requires --param dist=G|E|subordinator|inverse|chain")
     meta = f"# dist={dist} n={n} t={t:g} seed={seed}"
     lines = [meta, "value"] + [f"{v:.12g}" for v in np.atleast_1d(draws)]
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -201,7 +179,7 @@ def cmd_verify(params, seed, out, fmt):
 
 
 def cmd_moments(params, seed, out, fmt):
-    t_grid = [float(v) for v in str(params.get("t", "0.5;1;2;4")).split(";") if v]
+    t_grid = _times(params, "0.5;1;2;4")
     slope = montecarlo.moment_scaling_slope(
         _mu(params),
         params.get("nu", 1.0),

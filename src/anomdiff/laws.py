@@ -15,7 +15,9 @@ H-function, evaluated by one Mellin-Barnes contour (`fox_h_eval`): the
 stable and inverse laws (`h_fox`, `l_fox`), the n-fold composition
 (`compose_fox`, for n >= 3) and the mixed law (`f_nu_beta_fox`).  The
 nested adaptive quadrature that builds the same densities from their
-factors stays as `method='quadrature'`, the independent oracle of the tests.
+factors is the tests' independent oracle (tests/quadrature_oracles.py).
+
+`tabulate_density` is the one tabulation loop, for every named density.
 
 Conventions.  The n-fold multiplicative convolution at composite time t is
 the law of a product of n independent factors whose time arguments multiply
@@ -41,7 +43,7 @@ from .errors import (
     StripError,
     UnsupportedMethodError,
 )
-from .mellin import FoxH, MellinStrip, fox_h_eval, quad
+from .mellin import FoxH, MellinStrip, fox_h_eval
 from .specfun import bessel_k, gamma_fn, wright_w
 
 __all__ = [
@@ -279,37 +281,21 @@ def compose_fox(gamma: float, mu) -> FoxH:
     )
 
 
-def compose_density(gamma: float, mu, x: float, t: float, method: str = "auto") -> float:
+def compose_density(gamma: float, mu, x: float, t: float) -> float:
     """n-fold multiplicative convolution of generalized gamma laws with common
     shape index `gamma` and shape vector `mu`, at composite time t.
 
-    n = 1 is the plain law and n = 2 the closed Bessel-K form.  For n >= 3,
-    'auto' evaluates the H-function of `compose_fox` at x/t, at any depth.
-    'quadrature' is the independent oracle: it peels one tilde-factor off and
-    integrates it against the (n-1)-fold core with unit shape index, by
-    nested adaptive quadrature capped at depth 4.
+    n = 1 is the plain law and n = 2 the closed Bessel-K form.  For n >= 3
+    the H-function of `compose_fox` is evaluated at x/t, at any depth.
     """
-    if method not in ("auto", "quadrature"):
-        raise UnsupportedMethodError(f"unknown method {method!r} for compose_density")
     mus = mu.as_floats() if isinstance(mu, MuVector) else np.asarray(mu, dtype=float)
     n = len(mus)
-    if method == "quadrature" and n > 4:
-        raise DomainError("quadrature composition depth capped at 4")
     _check_xt(x, t)
     if n == 1:
         return gg_density(GGLaw(gamma, mus[0]), x, t)
     if n == 2:
         return econv(gamma, mus[0], mus[1], x, t)
-    if method == "auto":
-        return fox_h_eval(compose_fox(gamma, mus), x / t) / t
-    inner_t = t**gamma
-    law0 = GGLaw(gamma, mus[0])
-    rest = mus[1:]
-
-    def integrand(s):
-        return gg_density(law0, x, s, tilde=True) * compose_density(1.0, rest, s, inner_t, "quadrature")
-
-    return quad(integrand, -60.0, 60.0, log=True)
+    return fox_h_eval(compose_fox(gamma, mus), x / t) / t
 
 
 def compose_mellin(gamma: float, mu, t: float, eta: float) -> float:
@@ -522,18 +508,14 @@ def f_nu_beta_fox(nu: float, beta: float) -> FoxH:
     )
 
 
-def f_nu_beta(nu: float, beta: float, x: float, t: float, method: str = "auto") -> float:
+def f_nu_beta(nu: float, beta: float, x: float, t: float) -> float:
     """Density of the nu-stable subordinator run at an independent
     beta-inverse time: int_0^inf h_nu(x, s) l_beta(s, t) ds.
 
-    'auto' evaluates the H-function of `f_nu_beta_fox` at x / t^(beta/nu);
-    'quadrature' is the independent oracle, adaptive quadrature of the
-    integral above over h_density and l_density on their auto routes.
+    Evaluates the H-function of `f_nu_beta_fox` at x / t^(beta/nu).
     Degenerate ends: beta = 1 gives the plain stable law, nu = 1 the plain
     inverse law, which alone is positive at x = 0.
     """
-    if method not in ("auto", "quadrature"):
-        raise UnsupportedMethodError(f"unknown method {method!r} for f_nu_beta")
     if not (0 < nu <= 1 and 0 < beta <= 1):
         raise DomainError("indices must lie in (0, 1]")
     if x < 0 or t <= 0:
@@ -546,14 +528,8 @@ def f_nu_beta(nu: float, beta: float, x: float, t: float, method: str = "auto") 
         return 0.0
     if beta == 1.0:
         return h_density(nu, x, t)
-    if method == "auto":
-        scale = t ** (beta / nu)
-        return fox_h_eval(f_nu_beta_fox(nu, beta), x / scale) / scale
-
-    def integrand(s):
-        return h_density(nu, x, s) * l_density(beta, s, t)
-
-    return quad(integrand, -60.0, 60.0, log=True)
+    scale = t ** (beta / nu)
+    return fox_h_eval(f_nu_beta_fox(nu, beta), x / scale) / scale
 
 
 def index_set(kind: str, n: int, kappa: int, target: int) -> list:
@@ -593,35 +569,50 @@ def index_set(kind: str, n: int, kappa: int, target: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# CSV tabulation
+# tabulation
 
-_DENSITY_BUILDERS = {
-    "gg": lambda p: (
-        lambda x, t: gg_density(GGLaw(p["gamma"], float(p["mu"])), x, t, tilde=bool(p.get("tilde", 0)))
-    ),
-    "h": lambda p: (lambda x, t: h_density(p["nu"], x, t, method=p.get("method", "auto"))),
-    "l": lambda p: (lambda x, t: l_density(p["nu"], x, t, method=p.get("method", "auto"))),
-    "f_ratio": lambda p: (lambda x, t: ratio_density(p["nu"], x / t) / t),
-    "f_nu_beta": lambda p: (lambda x, t: f_nu_beta(p["nu"], p["beta"], x, t)),
-    "compose": lambda p: (
-        lambda x, t: compose_density(p["gamma"], MuVector.parse(str(p["mu"])), x, t)
-    ),
+
+def _route(name: str, p: dict) -> str:
+    """The route a table of density `name` runs, for its method column."""
+    if name in ("h", "l"):
+        return resolve_method(name, p["nu"], p.get("method", "auto"))
+    if name == "g_nu_beta":
+        return p.get("route", "double_integral")
+    return name
+
+
+def _solvers():
+    from . import solvers  # imported late: solvers imports this module
+
+    return solvers
+
+
+_DENSITIES = {
+    "gg": lambda p, x, t: gg_density(GGLaw(p["gamma"], float(p["mu"])), x, t, tilde=bool(p.get("tilde", 0))),
+    "h": lambda p, x, t: h_density(p["nu"], x, t, p.get("method", "auto")),
+    "l": lambda p, x, t: l_density(p["nu"], x, t, p.get("method", "auto")),
+    "f_ratio": lambda p, x, t: ratio_density(p["nu"], x / t) / t,
+    "f_nu_beta": lambda p, x, t: f_nu_beta(p["nu"], p["beta"], x, t),
+    "compose": lambda p, x, t: compose_density(p["gamma"], MuVector.parse(str(p["mu"])), x, t),
+    "g_nu_beta": lambda p, x, t: _solvers().space_fractional_density(
+        float(p.get("mu", 1.0)), p.get("nu", 0.5), p.get("beta", 1.0), x, t, _route("g_nu_beta", p)),
+    "u_time_frac": lambda p, x, t: _solvers().time_fractional_solution(
+        p.get("gamma", 1.0), float(p.get("mu", 1.0)), p.get("nu", 0.5), x, t),
 }
 
 
 def tabulate_density(name: str, params: dict, xs, ts) -> list:
-    """Rows (x, t, value, method) for a named density over a grid; for h and
-    l the method column names the route that ran."""
-    if name not in _DENSITY_BUILDERS:
+    """Rows (x, t, value, method) for a named density over a grid, each value
+    checked finite and non-negative.  The method column names the route that
+    ran for h, l and g_nu_beta, and the density otherwise."""
+    if name not in _DENSITIES:
         raise DomainError(f"unknown density {name!r}")
-    fn = _DENSITY_BUILDERS[name](params)
-    method = name
-    if name in ("h", "l"):
-        method = resolve_method(name, params["nu"], params.get("method", "auto"))
+    fn = _DENSITIES[name]
+    method = _route(name, params)
     rows = []
     for t in np.atleast_1d(ts):
         for x in np.atleast_1d(xs):
-            v = fn(float(x), float(t))
+            v = fn(params, float(x), float(t))
             if not (math.isfinite(v) and v >= -1e-12):
                 raise ConvergenceError(f"non-finite or negative density at ({x}, {t})")
             rows.append((float(x), float(t), v, method))

@@ -1,7 +1,7 @@
 """Solution operators for the fractional diffusion problems.
 
-The subordination solution on the half-line (an H-function, with its
-subordination integral kept as the quadrature oracle), the Bessel
+The subordination solution on the half-line (an H-function; its
+subordination integral is the tests' quadrature oracle), the Bessel
 eigenfunction series on the unit interval, the fractional power of the
 adjoint generator, the mixed space-fractional density with its two
 evaluation routes, and residual checks of the governing Mellin/Laplace
@@ -214,36 +214,24 @@ def time_fractional_fox(gamma: float, mu: float, nu: float) -> FoxH:
     )
 
 
-def time_fractional_solution(gamma: float, mu: float, nu: float, x: float, t: float,
-                             method: str = "auto") -> float:
+def time_fractional_solution(gamma: float, mu: float, nu: float, x: float, t: float) -> float:
     """Solution of the time-fractional Cauchy problem on (0, inf) with a point
     initial datum: the tilde-scaled generalized gamma law run at the inverse
     subordinator time, int_0^inf g~(x, s) l_nu(s, t) ds.
 
-    'auto' evaluates the H-function of `time_fractional_fox` at
-    x / t^(nu/gamma).  'quadrature' is the independent oracle: adaptive
-    quadrature of the integral above, substituting s = t^nu u so the nodes
-    do not move with t.  At nu = 1 the inverse time collapses to the
-    identity and the law itself is returned.
+    Evaluates the H-function of `time_fractional_fox` at x / t^(nu/gamma).
+    At nu = 1 the inverse time collapses to the identity and the law itself
+    is returned.
     """
-    if method not in ("auto", "quadrature"):
-        raise UnsupportedMethodError(f"unknown method {method!r} for time_fractional_solution")
     if not 0 < nu <= 1:
         raise DomainError("nu must lie in (0, 1]")
     law = GGLaw(gamma, mu)
     if nu == 1.0:
         return gg_density(law, x, t, tilde=True)
-    if method == "auto":
-        if not (x > 0 and t > 0):
-            raise DomainError("x and t must be positive")
-        scale = t ** (nu / gamma)
-        return fox_h_eval(time_fractional_fox(gamma, mu, nu), x / scale) / scale
-    scale = t**nu
-
-    def integrand(u):
-        return gg_density(law, x, scale * u, tilde=True) * l_density(nu, u, 1.0)
-
-    return quad(integrand, -40.0, 12.0, log=True)
+    if not (x > 0 and t > 0):
+        raise DomainError("x and t must be positive")
+    scale = t ** (nu / gamma)
+    return fox_h_eval(time_fractional_fox(gamma, mu, nu), x / scale) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +399,8 @@ def space_fractional_density(
     Routes: 'double_integral' (quadrature of the gamma law against the mixed
     time density) and 'foxh' (self-similar profile via the H-function object).
     """
+    if route not in ("double_integral", "foxh"):
+        raise UnsupportedMethodError(f"unknown route {route!r}")
     if not (x > 0 and t > 0):
         raise DomainError("x and t must be positive")
     if not (0 < nu <= 1 and 0 < beta <= 1):
@@ -442,10 +432,8 @@ def space_fractional_density(
         return quad(lambda s: gg_density(law, x, s) * mix(s), -45.0, 45.0, log=True, epsrel=1e-8)
     if nu == 1.0:
         raise UnsupportedMethodError("the foxh route needs nu < 1; use double_integral")
-    if route == "foxh":
-        scale = t ** (beta / nu)
-        return fox_h_eval(space_fractional_fox(mu, nu, beta), x / scale) / scale
-    raise UnsupportedMethodError(f"unknown route {route!r}")
+    scale = t ** (beta / nu)
+    return fox_h_eval(space_fractional_fox(mu, nu, beta), x / scale) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from anomdiff import cli, verify
+from anomdiff import cli, solvers, verify
 
 
 def run_cli(args):
@@ -133,6 +133,8 @@ class TestTabulate:
         ("h", "0.3", "foxh"),
         ("l", "0.3", "wright"),
         ("l", "0.5", "closed"),
+        ("g_nu_beta", "0.5", "double_integral"),
+        ("u_time_frac", "0.5", "u_time_frac"),
     ])
     def test_method_column_names_the_route_that_ran(self, capsys, density, nu, route):
         code = run_cli([
@@ -143,6 +145,14 @@ class TestTabulate:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert len(rows) == 3
         assert all(r.split(",")[3] == route for r in rows)
+
+    @pytest.mark.parametrize("density, solver", [
+        ("g_nu_beta", "space_fractional_density"),
+        ("u_time_frac", "time_fractional_solution"),
+    ])
+    def test_non_finite_value_is_a_numerical_failure(self, monkeypatch, density, solver):
+        monkeypatch.setattr(solvers, solver, lambda *args: math.nan)
+        assert run_cli(["--command", "tabulate", "--param", f"density={density}", "--param", "nx=2"]) == 1
 
 
 class TestSolveBvp:

@@ -32,6 +32,7 @@ from anomdiff.laws import (
 )
 from anomdiff.mellin import mellin_numeric
 from anomdiff.specfun import MLParams, gamma_fn, mittag_leffler
+from quadrature_oracles import compose_quadrature, f_nu_beta_quadrature
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -313,12 +314,8 @@ class TestMixedLaw:
     @pytest.mark.parametrize("nu,beta", [(0.7, 0.5), (0.4, 0.5), (0.8, 0.5)])
     def test_contour_matches_quadrature(self, nu, beta):
         for x, t in ((0.3, 1.2), (1.0, 1.0), (2.5, 0.7)):
-            want = f_nu_beta(nu, beta, x, t, "quadrature")
+            want = f_nu_beta_quadrature(nu, beta, x, t)
             assert f_nu_beta(nu, beta, x, t) == pytest.approx(want, rel=1e-7)
-
-    def test_unknown_method(self):
-        with pytest.raises(UnsupportedMethodError):
-            f_nu_beta(0.7, 0.5, 1.0, 1.0, "foxh")
 
 
 class TestIndexSets:
@@ -401,22 +398,20 @@ class TestComposition:
 
     def test_quadrature_depth_cap(self):
         with pytest.raises(DomainError):
-            compose_density(1.0, [0.2] * 5, 1.0, 1.0, "quadrature")
-        with pytest.raises(UnsupportedMethodError):
-            compose_density(1.0, [0.2] * 3, 1.0, 1.0, "foxh")
+            compose_quadrature(1.0, [0.2] * 5, 1.0, 1.0)
 
     @pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0])
     def test_contour_matches_quadrature_depth_three(self, gamma):
         for mu in ([0.25, 0.5, 0.75], [0.5, 1.0, 1.5]):
             for x in (0.3, 1.0, 2.5):
-                want = compose_density(gamma, mu, x, 1.3, "quadrature")
+                want = compose_quadrature(gamma, mu, x, 1.3)
                 assert compose_density(gamma, mu, x, 1.3) == pytest.approx(want, rel=1e-8)
 
     def test_contour_matches_quadrature_depth_four(self):
         # a left-tail and a central point; each quadrature point costs about 1 s
         mu = MuVector.from_integers([1, 2, 3, 4], 5)
         for x in (0.05, 1.0):
-            want = compose_density(1.0, mu, x, 1.0, "quadrature")
+            want = compose_quadrature(1.0, mu, x, 1.0)
             assert compose_density(1.0, mu, x, 1.0) == pytest.approx(want, rel=1e-8)
 
     @pytest.mark.parametrize("n", [5, 6])
@@ -452,3 +447,18 @@ class TestTabulate:
     def test_unknown_density(self):
         with pytest.raises(DomainError):
             tabulate_density("nope", {}, [1.0], [1.0])
+
+    def test_solver_densities(self):
+        from anomdiff.solvers import space_fractional_density, time_fractional_solution
+
+        xs, ts = [0.5, 1.0], [1.0, 2.0]
+        for route in ("double_integral", "foxh"):
+            rows = tabulate_density("g_nu_beta", {"nu": 0.7, "beta": 0.5, "route": route}, xs, ts)
+            assert [r[:2] for r in rows] == [(x, t) for t in ts for x in xs]
+            assert all(r[3] == route for r in rows)
+            want = [space_fractional_density(1.0, 0.7, 0.5, x, t, route) for t in ts for x in xs]
+            assert [r[2] for r in rows] == pytest.approx(want, rel=1e-12)
+        rows = tabulate_density("u_time_frac", {"nu": 0.7}, xs, ts)
+        assert all(r[3] == "u_time_frac" for r in rows)
+        want = [time_fractional_solution(1.0, 1.0, 0.7, x, t) for t in ts for x in xs]
+        assert [r[2] for r in rows] == pytest.approx(want, rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from anomdiff.errors import DomainError, PoleError, StripError
+from anomdiff.errors import DomainError, PoleError, StripError, UnsupportedMethodError
 from anomdiff.frac_calc import GridFunction
 from anomdiff.laws import GGLaw, gg_density
 from anomdiff.mellin import mellin_numeric
@@ -25,6 +25,7 @@ from anomdiff.solvers import (
     time_fractional_solution,
 )
 from anomdiff.specfun import MLParams, bessel_j, bessel_k, gamma_fn, mittag_leffler
+from quadrature_oracles import time_fractional_quadrature
 
 J0_ZERO_1 = 2.404825557695773
 
@@ -177,7 +178,7 @@ class TestTimeFractional:
     @pytest.mark.parametrize("gamma,mu", [(1.0, 1.5), (-1.0, 1.5), (2.0, 0.7), (-2.0, 0.7)])
     def test_contour_matches_quadrature(self, gamma, mu):
         for x, t in ((0.3, 1.3), (1.0, 1.0), (2.5, 0.6)):
-            want = time_fractional_solution(gamma, mu, 0.5, x, t, "quadrature")
+            want = time_fractional_quadrature(gamma, mu, 0.5, x, t)
             assert time_fractional_solution(gamma, mu, 0.5, x, t) == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("nu", [0.3, 0.4, 0.7, 0.9])
@@ -231,6 +232,13 @@ class TestSpaceFractional:
     def test_degenerate_indices(self):
         got = space_fractional_density(1.5, 1.0, 1.0, 1.0, 1.0)
         assert got == pytest.approx(gg_density(GGLaw(1.0, 1.5), 1.0, 1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("nu,beta", [(1.0, 0.5), (1.0, 1.0), (0.5, 0.5)])
+    def test_unknown_route_is_named(self, nu, beta):
+        # the name is checked before the nu = 1 guard of foxh and before the
+        # degenerate return at nu = beta = 1
+        with pytest.raises(UnsupportedMethodError, match="unknown route 'bogus'"):
+            space_fractional_density(1.0, nu, beta, 1.0, 1.0, "bogus")
 
     @pytest.mark.parametrize("nu,beta", [(0.5, 1.0), (0.5, 0.5)])
     def test_route_agreement(self, nu, beta):
