@@ -81,7 +81,6 @@ from .solvers import (
 )
 from .specfun import (
     MLParams,
-    SeriesControl,
     bessel_i,
     bessel_j,
     bessel_j_prime,

@@ -28,7 +28,7 @@ from .montecarlo import CompositionChain, RngSpec
 _FLOAT_KEYS = {
     "gamma", "nu", "beta", "xmin", "xmax", "r", "x",
 }
-_INT_KEYS = {"nx", "n", "n_terms", "count", "stream"}
+_INT_KEYS = {"nx", "n", "n_terms", "count", "stream", "tilde"}
 # "t" stays a string: grid commands accept semicolon-separated lists; so does
 # "mu", a number for most commands and a MuVector ("1/4,2/4,3/4") for compose
 
@@ -82,20 +82,21 @@ def _times(params, default):
     return [float(v) for v in str(params.get("t", default)).split(";") if v]
 
 
-def _grid(params):
-    xmin = params.get("xmin", 0.1)
-    xmax = params.get("xmax", 3.0)
-    nx = params.get("nx", 30)
+def _grid(params, xmin, xmax, nx, t):
+    """The x grid and the times of a command, with its own defaults."""
+    xmin = params.get("xmin", xmin)
+    xmax = params.get("xmax", xmax)
+    nx = params.get("nx", nx)
     if nx < 1 or xmax < xmin or xmin <= 0:
         raise DomainError("invalid grid: need xmin > 0, xmax >= xmin, nx >= 1")
-    return np.linspace(xmin, xmax, int(nx)), _times(params, "1.0")
+    return np.linspace(xmin, xmax, nx), _times(params, t)
 
 
 def cmd_tabulate(params, seed, out, fmt):
     name = params.get("density")
     if name is None:
         raise DomainError("tabulate requires --param density=<name>")
-    xs, ts = _grid(params)
+    xs, ts = _grid(params, 0.1, 3.0, 30, "1.0")
     _write_rows(out, ("x", "t", "value", "method"), tabulate_density(name, params, xs, ts), fmt)
     return 0
 
@@ -119,6 +120,7 @@ class _CsvDatum:
 
 
 def cmd_solve_bvp(params, seed, out, fmt):
+    xs, ts = _grid(params, 0.05, 0.95, 19, "0.5")
     gamma = params.get("gamma", 1.0)
     mu = _mu(params)
     nu = params.get("nu", 1.0)
@@ -133,13 +135,7 @@ def cmd_solve_bvp(params, seed, out, fmt):
         raise UnsupportedMethodError(f"unknown initial datum preset {preset!r}")
     spec = solvers.BVPSpec(gamma, mu, nu, m0, n_terms=n_terms)
     sol = solvers.sturm_liouville_solution(spec)
-    xmin = params.get("xmin", 0.05)
-    xmax = params.get("xmax", 0.95)
-    nx = params.get("nx", 19)
-    rows = []
-    for t in _times(params, "0.5"):
-        for x in np.linspace(xmin, xmax, int(nx)):
-            rows.append((float(x), float(t), sol(float(x), float(t))))
+    rows = [(float(x), t, sol(float(x), t)) for t in ts for x in xs]
     _write_rows(out, ("x", "t", "value"), rows, fmt)
     sidecar = (out + ".eigen.json") if out else None
     _write_json(sidecar, sol.eigen_system_with_coefficients().to_json_dict())

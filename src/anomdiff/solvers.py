@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from .errors import ConvergenceError, DomainError, StripError, UnsupportedMethodError
+from .errors import DomainError, StripError, UnsupportedMethodError
 from .frac_calc import GridFunction, rl_left, rl_right
 from .laws import GGLaw, f_nu_beta, gg_density, h_density, l_density, ratio_density
 from .mellin import FoxH, MellinStrip, fox_h_eval, quad
@@ -88,9 +88,8 @@ class EigenSystem:
 def eigen_system(gamma: float, mu: float, n_modes: int) -> EigenSystem:
     """Zeros, eigenfunctions and weighted norms of the first n_modes modes.
 
-    The squared norm is J'_{mu-1}(kappa)^2 / gamma, with the derivative taken
-    by a centered difference of step 1e-6 and cross-checked against
-    -J_mu(kappa) to 1e-8.  Only gamma > 0 has finite norms: with
+    The squared norm is J'_{mu-1}(kappa)^2 / gamma.  Only gamma > 0 has
+    finite norms: with
     y = x^(gamma/2) the squared norm is (2/|gamma|) int y J_{mu-1}(kappa y)^2 dy
     over (0, 1) for gamma > 0, but over (1, inf) for gamma < 0, where it
     diverges.
@@ -105,13 +104,10 @@ def eigen_system(gamma: float, mu: float, n_modes: int) -> EigenSystem:
     if n_modes < 1:
         raise DomainError("need at least one mode")
     kappas = bessel_j_zeros(mu - 1.0, n_modes)
-    h = 1e-6
     norms = []
     for k in kappas:
-        jp = (bessel_j(mu - 1.0, k + h) - bessel_j(mu - 1.0, k - h)) / (2.0 * h)
-        jp_id = -bessel_j(mu, k) + (mu - 1.0) / k * bessel_j(mu - 1.0, k)
-        if abs(jp - jp_id) > 1e-8:
-            raise ConvergenceError("Bessel derivative cross-check failed")
+        # J'_nu(x) = (nu/x) J_nu(x) - J_{nu+1}(x), with nu = mu - 1
+        jp = (mu - 1.0) / k * bessel_j(mu - 1.0, k) - bessel_j(mu, k)
         norms.append(jp * jp / gamma)
     return EigenSystem(gamma, mu, tuple(float(k) for k in kappas), tuple(norms))
 

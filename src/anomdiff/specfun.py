@@ -8,6 +8,7 @@ complex arguments are out of scope.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ from scipy.optimize import brentq
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
-    "SeriesControl",
     "MLParams",
     "gamma_fn",
     "beta_fn",
@@ -31,23 +31,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Termination budget for power-series evaluation."""
-
-    abs_tol: float = 1e-14
-    max_terms: int = 2000
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-
-
-_DEFAULT_CONTROL = SeriesControl()
 
 
 @dataclass(frozen=True)
@@ -81,130 +64,27 @@ def beta_fn(a: float, b: float) -> float:
     return float(sp.beta(a, b))
 
 
-def _series_peak_log(alpha: float, beta: float, absz: float) -> float:
-    """log of the largest term of sum |z|^k / Gamma(alpha*k + beta).
+def _series(alpha: float, beta: float, z: float, factorial: bool) -> float:
+    """sum_{k>=0} z^k / ([k!] Gamma(alpha*k + beta)), the k! only if `factorial`.
 
-    The peak sits near alpha*k + beta = |z|^(1/alpha); the returned value
-    bounds the round-off floor of the summed series.
+    Summation stops once terms have passed their peak and two in a row are
+    below 1e-14; a peak term whose round-off floor exceeds 1e-6 means the
+    sum has cancelled away and raises ConvergenceError.
     """
-    if absz <= 1.0:
-        return 0.0
-    y = absz ** (1.0 / alpha)
-    k = max((y - beta) / alpha, 0.0)
-    a = alpha * k + beta
-    if a <= 0:
-        return 0.0
-    return k * math.log(absz) - float(sp.gammaln(a))
-
-
-def _ml_series(alpha: float, beta: float, z: float, control: SeriesControl) -> float:
-    absz = abs(z)
-    logz = math.log(absz) if absz > 0 else -math.inf
-    k_peak = max(absz ** (1.0 / alpha) - beta, 0.0) / alpha
-    acc = 0.0
-    small = 0
-    for k in range(control.max_terms):
-        a = alpha * k + beta
-        if a > 0:
-            log_mag = k * logz - float(sp.gammaln(a)) if k > 0 else -float(sp.gammaln(a))
-            if log_mag > 700.0:
-                raise ConvergenceError("Mittag-Leffler series overflow")
-            term = math.exp(log_mag)
-            if z < 0 and k % 2 == 1:
-                term = -term
-        else:
-            term = (z**k) * float(sp.rgamma(a))
-        acc += term
-        if abs(term) < control.abs_tol and k >= k_peak:
-            small += 1
-            if small >= 2:
-                return acc
-        else:
-            small = 0
-    raise ConvergenceError("Mittag-Leffler series did not converge within max_terms")
-
-
-def _ml_asymptotic(alpha: float, beta: float, z: float, control: SeriesControl) -> float:
-    # algebraic expansion on the negative axis, 0 < alpha < 1:
-    #   E_{a,b}(z) = -sum_{k>=1} z^{-k} / Gamma(b - a*k),   z -> -inf
-    acc = 0.0
-    prev = math.inf
-    zk = 1.0
-    for k in range(1, 200):
-        zk *= z
-        if not math.isfinite(zk):
-            break
-        rg = float(sp.rgamma(beta - alpha * k))
-        if rg == 0.0:
-            continue  # gamma pole: the term vanishes identically
-        term = -rg / zk
-        mag = abs(term)
-        if mag > prev:
-            break  # optimal truncation reached
-        acc += term
-        if mag < control.abs_tol:
-            break
-        prev = mag
-    return acc
-
-
-def mittag_leffler(p: MLParams, z: float, control: SeriesControl = _DEFAULT_CONTROL) -> float:
-    """E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha*k + beta) for real z.
-
-    The power series is summed directly where its round-off floor stays small;
-    for large negative z the algebraic tail expansion -sum z^{-k}/Gamma(beta -
-    alpha*k) is used instead.  The branch is picked by comparing a-priori error
-    estimates (cancellation floor of the series versus the optimal-truncation
-    error exp(-|z|^(1/alpha)) of the expansion); if neither reaches 1e-6 a
-    ConvergenceError is raised.
-    """
-    alpha, beta = p.alpha, p.beta
-    if z == 0.0:
-        return float(sp.rgamma(beta))
-    if alpha == 1.0 and beta == 1.0:
-        return math.exp(z)
-
-    err_series = _EPS * math.exp(min(_series_peak_log(alpha, beta, abs(z)), 700.0))
-    if z < 0 and alpha < 1.0:
-        err_asym = math.exp(-abs(z) ** (1.0 / alpha))
-        if err_asym < err_series:
-            if err_asym > 1e-6:
-                raise ConvergenceError(
-                    f"E_{{{alpha},{beta}}}({z}) not computable to tolerance"
-                )
-            return _ml_asymptotic(alpha, beta, z, control)
-    if err_series > 1e-6:
-        raise ConvergenceError(f"E_{{{alpha},{beta}}}({z}) series loses all precision")
-    return _ml_series(alpha, beta, z, control)
-
-
-def wright_w(alpha: float, beta: float, z: float, control: SeriesControl = _DEFAULT_CONTROL) -> float:
-    """Wright function W_{alpha,beta}(z) = sum_{k>=0} z^k / (k! Gamma(alpha*k + beta)).
-
-    Requires alpha > -1.  Summation stops once terms have passed their peak and
-    dropped below the absolute tolerance; the round-off floor of the recorded
-    peak term guards against silent cancellation loss.
-    """
-    if not alpha > -1.0:
-        raise DomainError("wright_w requires alpha > -1")
-    if z == 0.0:
-        return float(sp.rgamma(beta))
-    absz = abs(z)
-    logz = math.log(absz)
+    logz = math.log(abs(z))
     acc = 0.0
     peak = 0.0
     falling = False
     small = 0
-    for k in range(control.max_terms):
-        a = alpha * k + beta
-        rg = float(sp.rgamma(a))
+    for k in range(2000):
+        rg = float(sp.rgamma(alpha * k + beta))
         if rg == 0.0:
             term = 0.0
             mag = 0.0
         else:
-            log_mag = k * logz - float(sp.gammaln(k + 1.0)) + math.log(abs(rg))
+            log_mag = k * logz - (float(sp.gammaln(k + 1.0)) if factorial else 0.0) + math.log(abs(rg))
             if log_mag > 700.0:
-                raise ConvergenceError("Wright series overflow")
+                raise ConvergenceError("power series overflow")
             mag = math.exp(log_mag)
             term = mag if rg > 0 else -mag
             if z < 0 and k % 2 == 1:
@@ -214,17 +94,79 @@ def wright_w(alpha: float, beta: float, z: float, control: SeriesControl = _DEFA
             peak = mag
         elif mag > 0:
             falling = True
-        if falling and mag < control.abs_tol:
+        if falling and mag < 1e-14:
             small += 1
             if small >= 2:
                 break
         else:
             small = 0
     else:
-        raise ConvergenceError("Wright series did not converge within max_terms")
+        raise ConvergenceError("power series did not converge within 2000 terms")
     if peak * _EPS > 1e-6:
-        raise ConvergenceError(f"W_{{{alpha},{beta}}}({z}) series loses all precision")
+        raise ConvergenceError(f"series of index ({alpha}, {beta}) at z={z} loses all precision")
     return acc
+
+
+def _ml_expansion(alpha: float, beta: float, z: float) -> tuple[float, float]:
+    """-sum_{k>=1} z^{-k} / Gamma(beta - alpha*k), the algebraic expansion of
+    E_{alpha,beta} as z -> -inf, and its truncation error.
+
+    Each term is at most the envelope |z|^{-k} Gamma(1 - beta + alpha*k)/pi;
+    the sum is truncated at the smallest envelope term, which is returned as
+    the error.
+    """
+    logz = math.log(-z)
+    acc = 0.0
+    err = math.inf
+    for k in range(1, 2000):
+        x = 1.0 - beta + alpha * k
+        bound = math.exp(float(sp.gammaln(x)) - k * logz) / math.pi if x > 0 else math.inf
+        if bound > err:
+            break
+        acc -= float(sp.rgamma(beta - alpha * k)) * z**-k
+        err = bound
+        if err < 1e-17 * abs(acc):
+            break
+    return acc, err
+
+
+def mittag_leffler(p: MLParams, z: float) -> float:
+    """E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha*k + beta) for real z.
+
+    The branch is picked from the argument: the power series for z >= -1 or
+    alpha > 1; else the algebraic expansion where its truncation error is
+    below 1e-15 of its value; else the H-function contour of the Mellin kernel
+    Gamma(s) Gamma(1 - s) / Gamma(beta - alpha*s) on the strip (0, 1), whose
+    inverse transform at -z is E_{alpha,beta}(z).
+    """
+    alpha, beta = p.alpha, p.beta
+    if z == 0.0:
+        return float(sp.rgamma(beta))
+    if alpha == 1.0 and beta == 1.0:
+        return math.exp(z)
+    if z >= -1.0 or alpha > 1.0:
+        return _series(alpha, beta, z, factorial=False)
+    value, err = _ml_expansion(alpha, beta, z)
+    if err < 1e-15 * abs(value):
+        return value
+    from .mellin import FoxH, MellinStrip, fox_h_eval  # mellin imports specfun
+
+    kernel = FoxH(m=1, n=1, p=1, q=2, upper=((0.0, 1.0),), lower=((0.0, 1.0), (1.0 - beta, alpha)),
+                  strip=MellinStrip(0.0, 1.0))
+    return fox_h_eval(kernel, -z)
+
+
+def wright_w(alpha: float, beta: float, z: float) -> float:
+    """Wright function W_{alpha,beta}(z) = sum_{k>=0} z^k / (k! Gamma(alpha*k + beta)).
+
+    Requires alpha > -1.  The power series is summed directly; a sum that
+    cancels below the round-off floor of its peak term raises ConvergenceError.
+    """
+    if not alpha > -1.0:
+        raise DomainError("wright_w requires alpha > -1")
+    if z == 0.0:
+        return float(sp.rgamma(beta))
+    return _series(alpha, beta, z, factorial=True)
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -252,10 +194,12 @@ def bessel_k(order: float, x: float) -> float:
     """Modified Bessel function of the second kind K_order(x), x > 0.
 
     K_{-order} = K_{order} holds exactly: the order enters through |order|.
+    Subnormal orders are taken as 0, where scipy's kv returns NaN.
     """
     if not x > 0:
         raise DomainError("bessel_k requires x > 0")
-    return float(sp.kv(abs(order), x))
+    order = abs(order)
+    return float(sp.kv(order if order >= sys.float_info.min else 0.0, x))
 
 
 def bessel_j_zeros(order: float, count: int) -> np.ndarray:

@@ -43,6 +43,22 @@ class TestTabulate:
         row = capsys.readouterr().out.strip().splitlines()[1]
         assert float(row.split(",")[2]) == pytest.approx(math.exp(-1.0), rel=1e-10)
 
+    @pytest.mark.parametrize("tilde,t_law", [(0, 4.0), (1, 2.0)])
+    def test_gg_tilde_flag(self, capsys, tilde, t_law):
+        # tilde=1 runs the law at t^(1/gamma); tilde=0 is the plain law
+        from anomdiff.laws import GGLaw, gg_density
+
+        code = run_cli([
+            "--command", "tabulate",
+            "--param", "density=gg",
+            "--param", "gamma=2", "--param", "mu=1", "--param", f"tilde={tilde}",
+            "--param", "xmin=2", "--param", "xmax=2", "--param", "nx=1",
+            "--param", "t=4",
+        ])
+        assert code == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        assert float(row.split(",")[2]) == pytest.approx(gg_density(GGLaw(2.0, 1.0), 2.0, t_law), rel=1e-10)
+
     def test_invalid_grid_is_usage_error(self, capsys):
         code = run_cli([
             "--command", "tabulate",
@@ -182,6 +198,10 @@ class TestSolveBvp:
         assert run_cli([
             "--command", "solve-bvp", "--param", "m0=mystery",
         ]) == 2
+
+    def test_invalid_grid_is_usage_error(self, capsys):
+        assert run_cli(["--command", "solve-bvp", "--param", "nx=0"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_csv_datum(self, tmp_path):
         # 101 nodes, so 99 kinks inside (0, 1); the oracle sums quad over

@@ -50,9 +50,10 @@ class TestEigenSystem:
     def test_norm_matches_weighted_integral(self):
         es = eigen_system(1.0, 2.0, 2)
         got = quad(
-            lambda x: float(es.eigenfunction(0, x)) ** 2 * float(es.weight(x)), 0, 1, limit=200
+            lambda x: float(es.eigenfunction(0, x)) ** 2 * float(es.weight(x)), 0, 1, limit=200,
+            epsrel=1e-13,
         )[0]
-        assert got == pytest.approx(es.norms[0], rel=1e-8)
+        assert got == pytest.approx(es.norms[0], rel=1e-12)
 
     def test_orthogonality(self):
         es = eigen_system(1.0, 1.0, 3)
