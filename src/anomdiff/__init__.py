@@ -66,7 +66,6 @@ from .solvers import (
     adjoint_generator_apply,
     double_laplace_residual,
     eigen_system,
-    fractional_power_apply,
     fractional_power_operator,
     generator_apply,
     mellin_time_rule_residual,

@@ -348,7 +348,10 @@ def mellin_numeric(f, eta: float, *, strip: MellinStrip | None = None,
     """int_0^inf x^(eta-1) f(x) dx by adaptive quadrature on the log axis.
 
     `support` restricts integration to (x_min, x_max); use it when f carries
-    numerical noise in a tail that x^(eta-1) would amplify.
+    numerical noise in a tail that x^(eta-1) would amplify.  Without it, the
+    log-axis integrand x^eta f(x) must be within abs_tol of zero at both ends
+    of the default window; otherwise the transform diverges there (eta lies
+    outside the fundamental strip of f) and StripError is raised.
     """
     if strip is not None and not strip.contains(eta):
         raise StripError(f"eta={eta} outside declared strip")
@@ -370,6 +373,14 @@ def mellin_numeric(f, eta: float, *, strip: MellinStrip | None = None,
             return math.inf  # divergent transform: let quadrature report it
         return math.copysign(math.exp(log_mag), fx)
 
+    if support is None:
+        for end in (lo, hi):
+            edge = g(end)
+            if not abs(edge) <= abs_tol:
+                raise StripError(
+                    f"eta={eta}: x^eta f(x) is {edge:.3g} at x = e^{end:g}, the end of the "
+                    "integration window, so the transform diverges (eta outside the fundamental strip)"
+                )
     return quad(g, lo, hi, points=[0.0] if lo < 0.0 < hi else None,
                 epsabs=abs_tol * 0.1, epsrel=1e-10, limit=400, budget=abs_tol)
 

@@ -68,8 +68,8 @@ def _series(alpha: float, beta: float, z: float, factorial: bool) -> float:
     """sum_{k>=0} z^k / ([k!] Gamma(alpha*k + beta)), the k! only if `factorial`.
 
     Summation stops once terms have passed their peak and two in a row are
-    below 1e-14; a peak term whose round-off floor exceeds 1e-6 means the
-    sum has cancelled away and raises ConvergenceError.
+    below 1e-14; a peak term whose round-off floor exceeds 1e-6 max(1, |sum|)
+    means the sum has cancelled away and raises ConvergenceError.
     """
     logz = math.log(abs(z))
     acc = 0.0
@@ -77,16 +77,19 @@ def _series(alpha: float, beta: float, z: float, factorial: bool) -> float:
     falling = False
     small = 0
     for k in range(2000):
-        rg = float(sp.rgamma(alpha * k + beta))
-        if rg == 0.0:
+        arg = alpha * k + beta
+        rg = float(sp.rgamma(arg))
+        if rg == 0.0 and arg <= 0.0:  # 1/Gamma vanishes at the poles of Gamma
             term = 0.0
             mag = 0.0
         else:
-            log_mag = k * logz - (float(sp.gammaln(k + 1.0)) if factorial else 0.0) + math.log(abs(rg))
+            # past arg ~ 171.6 the reciprocal underflows to 0, but its log does not
+            log_rg = math.log(abs(rg)) if rg != 0.0 else -float(sp.gammaln(arg))
+            log_mag = k * logz - (float(sp.gammaln(k + 1.0)) if factorial else 0.0) + log_rg
             if log_mag > 700.0:
                 raise ConvergenceError("power series overflow")
             mag = math.exp(log_mag)
-            term = mag if rg > 0 else -mag
+            term = mag if rg >= 0 else -mag
             if z < 0 and k % 2 == 1:
                 term = -term
         acc += term
@@ -102,7 +105,7 @@ def _series(alpha: float, beta: float, z: float, factorial: bool) -> float:
             small = 0
     else:
         raise ConvergenceError("power series did not converge within 2000 terms")
-    if peak * _EPS > 1e-6:
+    if peak * _EPS > 1e-6 * max(1.0, abs(acc)):
         raise ConvergenceError(f"series of index ({alpha}, {beta}) at z={z} loses all precision")
     return acc
 

@@ -203,7 +203,9 @@ class TestRightGridKernel:
         assert math.isfinite(rl_left(0.5, gf, 1.0))
         assert math.isfinite(caputo(0.5, gf, 1.0))
         assert math.isfinite(frac_integral("left", 0.5, gf, 1.0))
-        assert callable(fractional_power_operator(2.0, 0.5, gf))
+        op = fractional_power_operator(2.0, 0.5, gf)
+        for x in (0.25, 1.0, 2.0, 5.0):
+            assert math.isfinite(op(x))
 
 
 class TestCaputo:

@@ -12,7 +12,7 @@ from scipy.special import kv
 from anomdiff.errors import ConvergenceError, PoleError, StripError
 from anomdiff import mellin
 from anomdiff.frac_calc import GridFunction, rl_left
-from anomdiff.laws import compose_fox, f_nu_beta_fox, h_fox, l_fox
+from anomdiff.laws import compose_fox, f_nu_beta_fox, h_density, h_fox, l_fox
 from anomdiff.mellin import (
     FoxH,
     MellinStrip,
@@ -53,6 +53,17 @@ class TestMellinNumeric:
     def test_strip_violation(self):
         with pytest.raises(StripError):
             mellin_numeric(gamma_density(1.0), 2.0, strip=MellinStrip(0.0, 1.5))
+
+    def test_divergent_transform_raises(self):
+        # no strip and no support: x^eta f(x) grows at the window's upper end,
+        # where the parent returned 4.7e17 and 1.56e34
+        with pytest.raises(StripError):
+            mellin_numeric(lambda s: 1.0 / (1.0 + s), 1.5)
+        with pytest.raises(StripError):
+            mellin_numeric(lambda s: h_density(0.5, s, 1.0), 2.5)
+        # inside the strip (-inf, 1 + nu) of the stable law: Gamma(1 + 1.4) / Gamma(1.7)
+        got = mellin_numeric(lambda s: h_density(0.5, s, 1.0), 0.3)
+        assert got == pytest.approx(gamma_fn(2.4) / gamma_fn(1.7), abs=1e-9)
 
     def test_scaling_and_shift_rules(self):
         f = gamma_density(2.0)
@@ -246,10 +257,11 @@ class TestQuad:
 
     def test_acceptance_budgets(self, monkeypatch):
         # quad is asked for 1e-12 and abs_tol/10, but mellin_convolve accepts
-        # an error estimate up to 1e-9 and mellin_numeric up to abs_tol
+        # an error estimate up to 1e-9 and mellin_numeric up to abs_tol; the
+        # transform of e^-x converges, so mellin_numeric's window check passes
         calls = {
             1e-9: lambda: mellin_convolve(math.exp, math.exp, 1.0),
-            1e-4: lambda: mellin_numeric(math.exp, 0.5, abs_tol=1e-4),
+            1e-4: lambda: mellin_numeric(lambda x: math.exp(-x), 0.5, abs_tol=1e-4),
         }
         for budget, call in calls.items():
             monkeypatch.setattr(mellin.integrate, "quad", lambda *a, **k: (1e-3, 0.5 * budget))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from anomdiff.errors import DomainError, PoleError, StripError, UnsupportedMethodError
@@ -13,7 +14,6 @@ from anomdiff.solvers import (
     adjoint_generator_apply,
     double_laplace_residual,
     eigen_system,
-    fractional_power_apply,
     fractional_power_operator,
     generator_apply,
     mellin_time_rule_residual,
@@ -222,11 +222,30 @@ class TestFractionalPower:
             -np.inf,
         )
         comb = GridFunction(nodes, 2.0 * gamma2_grid.values + 0.5 * f2.values, -np.inf)
-        a = fractional_power_apply(2.0, 0.5, comb, 1.3)
-        b = 2.0 * fractional_power_apply(2.0, 0.5, gamma2_grid, 1.3) + 0.5 * fractional_power_apply(
-            2.0, 0.5, f2, 1.3
-        )
+        a = fractional_power_operator(2.0, 0.5, comb)(1.3)
+        b = 2.0 * fractional_power_operator(2.0, 0.5, gamma2_grid)(1.3) + 0.5 * fractional_power_operator(
+            2.0, 0.5, f2
+        )(1.3)
         assert a == pytest.approx(b, abs=1e-5)
+
+    def test_middle_stage_not_integrable_at_zero(self, gamma2_grid):
+        # f ~ s^-1.5 at 0 makes the middle stage grow like s^-1.5: the outer
+        # integral diverges, and the build says so
+        nodes = gamma2_grid.nodes
+        f = GridFunction(nodes, nodes**-1.5 * np.exp(-nodes), -np.inf)
+        with pytest.raises(DomainError, match="not integrable"):
+            fractional_power_operator(2.0, 0.5, f)
+
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 0.8])
+    def test_closed_form(self, nu):
+        # on f = x e^-x with mu = 2 the operator is -Gamma(2+nu) x 1F1(2+nu; 2; -x),
+        # from the power-law rule applied term by term
+        nodes = np.geomspace(1e-5, 50.0, 2500)
+        op = fractional_power_operator(2.0, nu, GridFunction(nodes, nodes * np.exp(-nodes), -np.inf))
+        xs = np.geomspace(1e-3, 20.0, 40)
+        want = -special.gamma(2.0 + nu) * xs * special.hyp1f1(2.0 + nu, 2.0, -xs)
+        got = np.array([op(float(x)) for x in xs])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-4
 
 
 class TestSpaceFractional:

@@ -83,6 +83,17 @@ class TestMittagLeffler:
             want = float(sp.erfcx(-z)) if z <= 0 else math.exp(z * z) * float(sp.erfc(-z))
             assert mittag_leffler(p, float(z)) == pytest.approx(want, rel=1e-12)
 
+    def test_moderate_positive_arguments(self):
+        # every term is positive here, so a sum far above 1 is no cancellation;
+        # at z = 10 the series runs past the underflow of 1/Gamma(k/2 + 1)
+        for z in (6.0, 10.0):
+            want = math.exp(z * z) * float(sp.erfc(-z))
+            assert mittag_leffler(MLParams(0.5), z) == pytest.approx(want, rel=1e-12)
+        # E_a(z) = exp(z^(1/a)) / a - 1/(z Gamma(1 - a)) + ...; the correction is
+        # below the round-off of the leading term
+        want = math.exp(40.0 ** (1.0 / 0.9)) / 0.9
+        assert mittag_leffler(MLParams(0.9), 40.0) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("alpha", [0.25, 1 / 3, 0.5, 0.75, 0.9, 1.0])
     def test_completely_positive_grid(self, alpha):
         hi = 30.0 if alpha <= 0.75 else 8.0
