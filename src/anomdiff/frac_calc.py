@@ -4,9 +4,18 @@ on the half-line, of order alpha in (0, 1).
 Left-sided operators integrate from 0 to x, right-sided ones from x to
 infinity.  On sampled grids (GridFunction) both sides integrate the singular
 kernel |x-s|^(-a) exactly against the piecewise-linear interpolant (product
-integration), with the power-law continuation past the grid in closed form,
-so grid inputs never reach adaptive quadrature.  Plain callables use
-algebraic-weight quadrature; power laws are differentiated by the exact rule.
+integration), so grid inputs never reach adaptive quadrature.  Two
+integrations by parts turn the integral over the grid into
+
+  sum_j kappa_j |x-s_j|^(2-a) / ((1-a)(2-a))
+
+over the nodes s_j on the far side of x, where kappa_j is the slope jump of
+the interpolant at node j, plus one end term: v_m (X-x)^(1-a)/(1-a) on the
+right, v_0 y^(1-a)/(1-a) on the left.  The interpolant is clamped to v_0
+below the first node.  Past the last node X the right side continues as the
+power law f(X) (s/X)^p in closed form; the left side is defined only up to
+X.  Plain callables use algebraic-weight quadrature; power laws are
+differentiated by the exact rule.
 """
 
 from __future__ import annotations
@@ -53,7 +62,10 @@ class GridFunction:
     node, and extrapolates beyond the last node as
     f(X_max) * (s / X_max)^extrapolation_decay.  A decay of -inf means the
     function is treated as zero past the grid.  The constructor keeps
-    read-only copies of nodes and values, so the derivative can be cached.
+    read-only copies of nodes and values, so the derivative can be cached,
+    and computes once the slope jumps that the grid kernels sum: kappa_j is
+    the slope of the interpolant right of node j minus its slope left of it,
+    with slope zero below the first node and past the last.
     """
 
     def __init__(self, nodes, values, extrapolation_decay: float = -np.inf):
@@ -73,6 +85,8 @@ class GridFunction:
         self.values = values
         self.extrapolation_decay = float(extrapolation_decay)
         self._derivative = None
+        self._slope_jumps = np.diff(np.diff(values) / np.diff(nodes), prepend=0.0, append=0.0)
+        self._slope_jumps.setflags(write=False)
 
     def __call__(self, s):
         scalar = np.ndim(s) == 0
@@ -109,56 +123,49 @@ class GridFunction:
         return float(self.nodes[-1])
 
 
-def _segment_sum(w, v, a: float) -> float:
-    """int w^(-a) g(w) dw over [w[0], w[-1]] for the g that is linear between
-    the samples (w[i], v[i]); w increasing and >= 0, a < 1."""
-    w0, w1 = w[:-1], w[1:]
-    slope = (v[1:] - v[:-1]) / (w1 - w0)
-    p1 = 1.0 - a
-    p2 = 2.0 - a
-    term1 = (v[:-1] - slope * w0) * (w1**p1 - w0**p1) / p1
-    term2 = slope * (w1**p2 - w0**p2) / p2
-    return float(np.sum(term1 + term2))
-
-
 def _grid_left_alg_integral(gf: GridFunction, a: float, y: float) -> float:
-    """int_0^y (y-s)^(-a) gf(s) ds, exact for the piecewise-linear interpolant."""
-    xs = np.concatenate([[y], gf.nodes[gf.nodes < y][::-1], [0.0]])
-    return _segment_sum(y - xs, gf(xs), a)
+    """int_0^y (y-s)^(-a) gf(s) ds for 0 < y <= X, exact for the clamped
+    piecewise-linear interpolant: v_0 y^(1-a)/(1-a) plus the slope-jump sum
+    over the nodes below y."""
+    i = int(np.searchsorted(gf.nodes, y))
+    jumps = gf._slope_jumps[:i] @ (y - gf.nodes[:i]) ** (2.0 - a)
+    return float(gf.values[0] * y ** (1.0 - a) / (1.0 - a) + jumps / ((1.0 - a) * (2.0 - a)))
 
 
 def _grid_right_alg_integral(gf: GridFunction, a: float, x: float) -> float:
-    """int_x^inf (s-x)^(-a) gf(s) ds, exact for the piecewise-linear interpolant
-    and its power-law continuation f(X) (s/X)^p past the last node X.
+    """int_x^inf (s-x)^(-a) gf(s) ds, exact for the clamped piecewise-linear
+    interpolant and its power-law continuation f(X) (s/X)^p past the last
+    node X.
 
-    The continuation contributes zero for p = -inf, and otherwise
-    f(X) X^(1-a) 2F1(a, b; b+1; x/X) / b with b = a - p - 1 when x < X, or
-    f(X) X^(-p) x^(-b) B(1-a, b) when x >= X; it needs p < a - 1.
+    Up to X the integral is v_m (X-x)^(1-a)/(1-a) plus the slope-jump sum
+    over the nodes above x.  The continuation contributes zero for p = -inf,
+    and otherwise f(X) X^(1-a) 2F1(a, b; b+1; x/X) / b with b = a - p - 1
+    when x < X, or f(X) X^(-p) x^(-b) B(1-a, b) when x >= X; it needs
+    p < a - 1.
     """
     x_max = gf.x_max
     p = gf.extrapolation_decay
+    v_max = float(gf.values[-1])
     body = 0.0
     if x < x_max:
-        inner = gf.nodes > x
-        w = np.concatenate([[0.0], gf.nodes[inner] - x])
-        v = np.concatenate([[gf(x)], gf.values[inner]])
-        body = _segment_sum(w, v, a)
+        i = int(np.searchsorted(gf.nodes, x, side="right"))
+        jumps = gf._slope_jumps[i:] @ (gf.nodes[i:] - x) ** (2.0 - a)
+        body = v_max * (x_max - x) ** (1.0 - a) / (1.0 - a) + jumps / ((1.0 - a) * (2.0 - a))
     if p == -np.inf:
-        return body
+        return float(body)
     b = a - p - 1.0
     if not b > 0.0:
         raise DivergentTailError(f"grid tail exponent {p} too weak for a kernel of order {a}")
-    v_max = float(gf.values[-1])
     if x < x_max:
         tail = v_max * x_max ** (1.0 - a) * special.hyp2f1(a, b, b + 1.0, x / x_max) / b
     else:
         tail = v_max * x_max ** (-p) * x ** (-b) * special.beta(1.0 - a, b)
-    return body + float(tail)
+    return float(body + tail)
 
 
 def _left_alg_integral(f, a: float, y: float) -> float:
     """int_0^y (y-s)^(-a) f(s) ds for a < 1; algebraic-weight quadrature, or the
-    exact segment sum when f is a sampled grid."""
+    exact slope-jump sum when f is a sampled grid."""
     if y <= 0:
         return 0.0
     if isinstance(f, GridFunction):
@@ -167,8 +174,8 @@ def _left_alg_integral(f, a: float, y: float) -> float:
 
 
 def _right_alg_integral(f, a: float, x: float) -> float:
-    """int_x^inf (s-x)^(-a) f(s) ds for a < 1; the exact segment sum when f is a
-    sampled grid, otherwise algebraic-weight quadrature near x and plain
+    """int_x^inf (s-x)^(-a) f(s) ds for a < 1; the exact slope-jump sum when f
+    is a sampled grid, otherwise algebraic-weight quadrature near x and plain
     quadrature on the rest of the half-line."""
     if isinstance(f, GridFunction):
         return _grid_right_alg_integral(f, a, x)
@@ -194,7 +201,9 @@ def rl_left(alpha: float, f, x: float) -> float:
 
     PowerLaw inputs use the exact rule
     Gamma(b)/Gamma(b-alpha) * c * x^(b-alpha-1); sampled inputs difference the
-    regularized integral with a centered step.
+    regularized integral with a centered step, or, within one step of the
+    last node of a GridFunction, where the integral is not defined, with the
+    second-order one-sided step (3I(x) - 4I(x-h) + I(x-2h)) / 2h.
     """
     _check_alpha(alpha)
     if x <= 0:
@@ -206,9 +215,11 @@ def rl_left(alpha: float, f, x: float) -> float:
         raise DomainError("x outside grid coverage")
     h = _fd_step(x)
     c = 1.0 / gamma_fn(1.0 - alpha)
-    up = _left_alg_integral(f, alpha, x + h)
     dn = _left_alg_integral(f, alpha, x - h)
-    return c * (up - dn) / (2.0 * h)
+    if isinstance(f, GridFunction) and x + h > f.x_max:
+        here = _left_alg_integral(f, alpha, x)
+        return c * (3.0 * here - 4.0 * dn + _left_alg_integral(f, alpha, x - 2.0 * h)) / (2.0 * h)
+    return c * (_left_alg_integral(f, alpha, x + h) - dn) / (2.0 * h)
 
 
 def _tail_decay_of(f, tail_decay):
@@ -287,13 +298,17 @@ def frac_integral(side: str, alpha: float, f, x: float, tail_decay: float | None
 
     The right version requires the tail of f to decay like s^p, p < -alpha.
     Both sides are exact for the piecewise-linear interpolant of a
-    GridFunction (and its power-law tail); plain callables use quadrature.
+    GridFunction (and, on the right, its power-law tail); the left version of
+    a GridFunction is defined up to its last node.  Plain callables use
+    quadrature.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
     if side == "left":
         if x <= 0:
             raise DomainError("x must be positive")
+        if isinstance(f, GridFunction) and x > f.x_max:
+            raise DomainError("x outside grid coverage")
         return _left_alg_integral(f, 1.0 - alpha, x) / gamma_fn(alpha)
     if side != "right":
         raise DomainError("side must be 'left' or 'right'")

@@ -6,6 +6,9 @@ functions here build the same densities from their factors by adaptive
 quadrature through `mellin.quad`, so the tests compare two routes that share
 no kernel code.  They cover the interior of each domain only; the degenerate
 ends are closed forms that the tests check directly.
+
+The grid kernels of `frac_calc` sum slope jumps over the nodes; the
+segment-by-segment product rule at the end of this file is their oracle.
 """
 
 import numpy as np
@@ -55,3 +58,33 @@ def time_fractional_quadrature(gamma, mu, nu, x, t):
         return gg_density(law, x, scale * u, tilde=True) * l_density(nu, u, 1.0)
 
     return quad(integrand, -40.0, 12.0, log=True)
+
+
+def segment_sum(w, v, a):
+    """int w^(-a) g(w) dw over [w[0], w[-1]] for the g that is linear between
+    the samples (w[i], v[i]); w increasing and >= 0, a < 1.  Each segment is
+    integrated on its own, in closed form."""
+    w0, w1 = w[:-1], w[1:]
+    slope = (v[1:] - v[:-1]) / (w1 - w0)
+    p1 = 1.0 - a
+    p2 = 2.0 - a
+    term1 = (v[:-1] - slope * w0) * (w1**p1 - w0**p1) / p1
+    term2 = slope * (w1**p2 - w0**p2) / p2
+    return float(np.sum(term1 + term2))
+
+
+def left_grid_kernel_by_segments(gf, a, y):
+    """int_0^y (y-s)^(-a) gf(s) ds for 0 < y <= X, segment by segment over the
+    clamped piecewise-linear interpolant of a GridFunction."""
+    xs = np.concatenate([[y], gf.nodes[gf.nodes < y][::-1], [0.0]])
+    return segment_sum(y - xs, gf(xs), a)
+
+
+def right_grid_kernel_by_segments(gf, a, x):
+    """int_x^X (s-x)^(-a) gf(s) ds for x < X, segment by segment over the
+    clamped piecewise-linear interpolant of a GridFunction; the continuation
+    past the last node X is left out."""
+    inner = gf.nodes > x
+    w = np.concatenate([[0.0], gf.nodes[inner] - x])
+    v = np.concatenate([[gf(x)], gf.values[inner]])
+    return segment_sum(w, v, a)

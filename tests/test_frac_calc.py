@@ -10,6 +10,7 @@ from anomdiff.errors import DivergentTailError, DomainError
 from anomdiff.frac_calc import GridFunction, PowerLaw, caputo, frac_integral, rl_left, rl_right
 from anomdiff.solvers import fractional_power_operator
 from anomdiff.specfun import gamma_fn
+from quadrature_oracles import left_grid_kernel_by_segments, right_grid_kernel_by_segments
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -74,6 +75,29 @@ class TestRlLeft:
         gf = GridFunction(fine_nodes, fine_nodes)
         with pytest.raises(DomainError):
             rl_left(0.5, gf, 10.0)
+
+    @pytest.mark.parametrize("decay", [-np.inf, 2.0])
+    def test_last_node_reads_no_continuation(self, decay):
+        # within one step of X the difference is one-sided, so the value does
+        # not depend on the continuation past X; it is the exact derivative
+        # v_0 y^-a + int_0^y (y-s)^-a g'(s) ds of the interpolant's integral
+        nodes = np.linspace(0.1, 1.0, 10)
+        gf = GridFunction(nodes, nodes**2, decay)
+        a, y = 0.5, gf.x_max
+        slopes = np.diff(gf.values) / np.diff(nodes)
+        w = (y - nodes) ** (1.0 - a) / (1.0 - a)
+        exact = (gf.values[0] * y**-a + slopes @ (w[:-1] - w[1:])) / gamma_fn(1.0 - a)
+        assert exact == pytest.approx(1.4905, abs=1e-4)
+        assert rl_left(a, gf, y) == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("decay", [-np.inf, 0.5])
+    def test_last_node_matches_power_rule(self, decay):
+        nodes = np.linspace(1e-6, 2.5, 3001)
+        gf = GridFunction(nodes, nodes**0.5, decay)
+        a = 0.75
+        for x in (gf.x_max, gf.x_max - 1e-4):
+            exact = gamma_fn(1.5) / gamma_fn(1.5 - a) * x ** (0.5 - a)
+            assert rl_left(a, gf, x) == pytest.approx(exact, rel=1e-5)
 
 
 class TestRlRight:
@@ -206,6 +230,96 @@ class TestRightGridKernel:
         op = fractional_power_operator(2.0, 0.5, gf)
         for x in (0.25, 1.0, 2.0, 5.0):
             assert math.isfinite(op(x))
+
+
+def _left_kernel_by_quad(a, gf, y):
+    """int_0^y (y-s)^(-a) gf(s) ds by quad in u = (y-s)^(1-a)/(1-a), which
+    removes the singularity at s = y; every node below y is a break point."""
+    p = 1.0 - a
+
+    def h(u):
+        return gf(y - (p * u) ** (1.0 / p))
+
+    breaks = [(y - s) ** p / p for s in gf.nodes if s < y]
+    return quad(h, 0.0, y**p / p, points=breaks or None, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+
+
+class TestLeftGridKernel:
+    """Product integration of the left-sided kernel on GridFunction inputs."""
+
+    @pytest.fixture(scope="class")
+    def small_grid(self):
+        nodes = np.geomspace(0.2, 6.0, 20)
+        return GridFunction(nodes, (1.0 + nodes) ** -2.5 * (1.0 + 0.3 * np.sin(3.0 * nodes)))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_matches_quad_on_small_grid(self, small_grid, alpha):
+        gf = small_grid
+        # below the first node, on a node, between nodes and at X
+        for y in (0.05, float(gf.nodes[7]), 1.1, gf.x_max):
+            want = _left_kernel_by_quad(alpha, gf.derivative(), y) / gamma_fn(1.0 - alpha)
+            assert caputo(alpha, gf, y) == pytest.approx(want, rel=1e-10)
+            want = _left_kernel_by_quad(1.0 - alpha, gf, y) / gamma_fn(alpha)
+            assert frac_integral("left", alpha, gf, y) == pytest.approx(want, rel=1e-10)
+
+    def test_past_the_grid_rejected(self, small_grid):
+        with pytest.raises(DomainError, match="outside grid coverage"):
+            frac_integral("left", 0.5, small_grid, 1.5 * small_grid.x_max)
+        assert math.isfinite(frac_integral("left", 0.5, small_grid, small_grid.x_max))
+
+    @pytest.fixture(scope="class")
+    def bench_grids(self):
+        """The benchmark's operator grids with its points, and no continuation
+        past X, which the right-hand oracle leaves out."""
+        exp_nodes = np.geomspace(1e-5, 50.0, 2500)
+        pow_nodes = np.linspace(1e-6, 2.5, 3001)
+        sq_nodes = np.linspace(1e-7, 1.2, 6001)
+        return {
+            "exp": (GridFunction(exp_nodes, exp_nodes * np.exp(-exp_nodes)), (0.25, 1.0, 2.0)),
+            "pow": (GridFunction(pow_nodes, np.sqrt(pow_nodes)), (0.5, 1.0, 2.0)),
+            "sq": (GridFunction(sq_nodes, sq_nodes**2 + 1.0), (0.4, 0.8, 1.2)),
+        }
+
+    @pytest.mark.parametrize("name", ["exp", "pow", "sq"])
+    def test_slope_jump_sum_matches_segment_sum(self, bench_grids, name):
+        gf, xs = bench_grids[name]
+        for alpha in (0.3, 0.5, 0.8):
+            c = gamma_fn(alpha)
+            for x in xs:
+                want = left_grid_kernel_by_segments(gf, 1.0 - alpha, x) / c
+                assert frac_integral("left", alpha, gf, x) == pytest.approx(want, rel=1e-12)
+                if x < gf.x_max:
+                    want = right_grid_kernel_by_segments(gf, 1.0 - alpha, x) / c
+                    assert frac_integral("right", alpha, gf, x) == pytest.approx(want, rel=1e-12)
+
+    def test_derivative_kernels_match_segment_sum(self, bench_grids):
+        # the benchmark takes rl_right of x e^-x and caputo of x^2 + 1
+        gf, xs = bench_grids["exp"]
+        for x in xs:
+            want = -right_grid_kernel_by_segments(gf.derivative(), 0.5, x) / gamma_fn(0.5)
+            assert rl_right(0.5, gf, x) == pytest.approx(want, rel=1e-12)
+        gf, xs = bench_grids["sq"]
+        for alpha in (0.3, 0.5, 0.7):
+            for x in xs:
+                want = left_grid_kernel_by_segments(gf.derivative(), alpha, x) / gamma_fn(1.0 - alpha)
+                assert caputo(alpha, gf, x) == pytest.approx(want, rel=1e-12)
+
+
+def test_fractional_power_operator_values_pinned():
+    # the operator as built on segment-by-segment kernels, on the benchmark's
+    # x e^-x grid
+    nodes = np.geomspace(1e-5, 50.0, 2500)
+    gf = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)
+    pinned = {
+        0.3: (-0.2183842597708359, -0.35609395264650895, -0.19046967517099656, 0.03825720113853301),
+        0.5: (-0.24229955659207278, -0.35514044009149504, -0.1400049013517859, 0.06882160520661565),
+        0.8: (-0.29349310646790205, -0.36090397098453325, -0.06036826359531949, 0.09513002504824021),
+        0.95: (-0.32775388741056033, -0.36598372526344836, -0.015868230164617515, 0.10044168367287365),
+    }
+    for nu, want in pinned.items():
+        op = fractional_power_operator(2.0, nu, gf)
+        got = [op(x) for x in (0.25, 1.0, 2.0, 5.0)]
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestCaputo:

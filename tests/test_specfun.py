@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from anomdiff.errors import DomainError, PoleError
+from anomdiff.errors import ConvergenceError, DomainError, PoleError
 from anomdiff.specfun import (
     MLParams,
     bessel_i,
@@ -84,15 +84,28 @@ class TestMittagLeffler:
             assert mittag_leffler(p, float(z)) == pytest.approx(want, rel=1e-12)
 
     def test_moderate_positive_arguments(self):
-        # every term is positive here, so a sum far above 1 is no cancellation;
-        # at z = 10 the series runs past the underflow of 1/Gamma(k/2 + 1)
-        for z in (6.0, 10.0):
+        # z = 6 is summed as a series of positive terms; from z^2 = 50 on, the
+        # exponential asymptotic answers, where at z = 20 the series would run
+        # out of its terms.  E_{1/2,1/2}(z) = 1/sqrt(pi) + z E_{1/2}(z)
+        for z in (6.0, 10.0, 20.0, 25.0):
             want = math.exp(z * z) * float(sp.erfc(-z))
             assert mittag_leffler(MLParams(0.5), z) == pytest.approx(want, rel=1e-12)
+            want = 1.0 / math.sqrt(math.pi) + z * want
+            assert mittag_leffler(MLParams(0.5, 0.5), z) == pytest.approx(want, rel=1e-12)
         # E_a(z) = exp(z^(1/a)) / a - 1/(z Gamma(1 - a)) + ...; the correction is
         # below the round-off of the leading term
         want = math.exp(40.0 ** (1.0 / 0.9)) / 0.9
         assert mittag_leffler(MLParams(0.9), 40.0) == pytest.approx(want, rel=1e-12)
+        # E_2(z) = cosh(sqrt(z)) stays on the series, which runs past the
+        # underflow of 1/Gamma(2k + 1)
+        assert mittag_leffler(MLParams(2.0), 300.0**2) == pytest.approx(math.cosh(300.0), rel=1e-12)
+
+    def test_overflow_raises(self):
+        # E_{1/2}(27) = e^729 erfc(-27) and E_1(710) = e^710 are past the
+        # float range, and so is z^(1/alpha) itself at E_{0.01}(1e10)
+        for alpha, z in ((0.5, 27.0), (1.0, 710.0), (0.01, 1e10)):
+            with pytest.raises(ConvergenceError, match="overflows"):
+                mittag_leffler(MLParams(alpha), z)
 
     @pytest.mark.parametrize("alpha", [0.25, 1 / 3, 0.5, 0.75, 0.9, 1.0])
     def test_completely_positive_grid(self, alpha):
