@@ -74,7 +74,6 @@ from .solvers import (
     space_fractional_fox,
     space_fractional_mellin,
     sturm_liouville_solution,
-    sturm_liouville_solve,
     time_fractional_fox,
     time_fractional_solution,
 )
@@ -82,7 +81,6 @@ from .specfun import (
     MLParams,
     bessel_i,
     bessel_j,
-    bessel_j_prime,
     bessel_j_zeros,
     bessel_k,
     beta_fn,

@@ -479,7 +479,7 @@ def ratio_density(nu: float, x: float) -> float:
     if x < 0:
         raise DomainError("x must be non-negative")
     if x == 0.0:
-        return 0.0 if nu < 1 else math.nan
+        return 0.0
     xn = x**nu
     return (
         x ** (nu - 1.0)

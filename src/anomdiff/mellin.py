@@ -10,7 +10,6 @@ checks every error estimate.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections import OrderedDict
@@ -66,6 +65,32 @@ def _on_edge(eta: float, end: float) -> bool:
     return math.isfinite(end) and abs(eta - end) <= 1e-12 * max(abs(end), 1.0)
 
 
+def _log_gamma_sum(factors, eta):
+    out = np.zeros_like(eta)
+    for c, d in factors:
+        out = out + sp.loggamma(c + d * eta)
+    return out
+
+
+def _numerator_poles(num, strip: MellinStrip) -> list:
+    """Real eta where a factor G(c + d eta) of `num` has a pole: eta = -(c + k)/d
+    for k = 0, 1, ... up to the strip end the poles run towards (the left one
+    for d > 0, the right one for d < 0).  A singular constant factor gives inf."""
+    poles = []
+    for c, d in num:
+        if d == 0.0:
+            if _is_nonpositive_integer(c, _POLE_TOL):
+                poles.append(math.inf)
+            continue
+        end = strip.a if d > 0 else strip.b
+        for k in range(10001):
+            eta = -(c + k) / d
+            if (eta - end) * d <= 0.0:
+                break
+            poles.append(eta)
+    return poles
+
+
 @dataclass(frozen=True)
 class FoxH:
     """An H-function identified by its Mellin kernel
@@ -74,7 +99,11 @@ class FoxH:
                   / [prod_{j>m} G(1 - b_j - eta B_j) prod_{i>n} G(a_i + eta A_i)]
 
     together with a fundamental strip on which the kernel is pole free.
-    Pairs with a zero slope contribute constant Gamma factors.
+    Pairs with a zero slope contribute constant Gamma factors.  The kernel
+    is kept as two lists of (c, d) pairs, each meaning G(c + d eta): `_num`
+    and `_den`; `_poles` holds the real eta where a numerator factor has a
+    pole.  They are derived from the fields, so equality and hashing ignore
+    them.
     """
 
     m: int
@@ -95,135 +124,36 @@ class FoxH:
             raise DomainError("need 0 <= n <= p and 0 <= m <= q")
         if any(al < 0 for _, al in self.upper) or any(be < 0 for _, be in self.lower):
             raise DomainError("slopes must be non-negative")
-        bad = self._poles_in_strip()
-        if bad:
-            raise PoleError(f"kernel pole(s) inside the strip: {bad}")
-
-    def _numerator_pole_positions(self):
-        """Real eta where a numerator Gamma factor has a pole."""
-        poles = []
-        for j, (b, be) in enumerate(self.lower):
-            if j < self.m:
-                if be == 0.0:
-                    if _is_nonpositive_integer(b, _POLE_TOL):
-                        poles.append(-math.inf)  # constant factor is itself singular
-                    continue
-                # Gamma(b + eta*be): poles at eta = -(b + k)/be, descending
-                k = 0
-                while True:
-                    eta = -(b + k) / be
-                    if eta <= self.strip.a:
-                        break
-                    poles.append(eta)
-                    k += 1
-                    if k > 10000:
-                        break
-        for i, (a, al) in enumerate(self.upper):
-            if i < self.n:
-                if al == 0.0:
-                    if _is_nonpositive_integer(1.0 - a, _POLE_TOL):
-                        poles.append(math.inf)
-                    continue
-                # Gamma(1 - a - eta*al): poles at eta = (1 - a + k)/al, ascending
-                k = 0
-                while True:
-                    eta = (1.0 - a + k) / al
-                    if eta >= self.strip.b:
-                        break
-                    poles.append(eta)
-                    k += 1
-                    if k > 10000:
-                        break
-        return poles
-
-    def _poles_in_strip(self):
+        m, n = self.m, self.n
+        num = self.lower[:m] + tuple((1.0 - a, -al) for a, al in self.upper[:n])
+        den = tuple((1.0 - b, -be) for b, be in self.lower[m:]) + self.upper[n:]
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_poles", _numerator_poles(num, self.strip))
         a, b = self.strip.a, self.strip.b
-        return [
+        bad = [
             eta
-            for eta in self._numerator_pole_positions()
+            for eta in self._poles
             if not math.isfinite(eta)
             or (a < eta < b and not _on_edge(eta, a) and not _on_edge(eta, b))
         ]
+        if bad:
+            raise PoleError(f"kernel pole(s) inside the strip: {bad}")
 
     def kernel(self, eta):
         """Mellin kernel at complex eta (scalar or array)."""
         eta = np.asarray(eta, dtype=complex)
-        num = np.zeros_like(eta)
-        den = np.zeros_like(eta)
-        for j, (b, be) in enumerate(self.lower):
-            term = sp.loggamma(b + eta * be) if be != 0.0 else complex(sp.loggamma(b))
-            if j < self.m:
-                num = num + term
-            else:
-                den = den + (sp.loggamma(1.0 - b - eta * be) if be != 0.0 else complex(sp.loggamma(1.0 - b)))
-        for i, (a, al) in enumerate(self.upper):
-            if i < self.n:
-                num = num + (sp.loggamma(1.0 - a - eta * al) if al != 0.0 else complex(sp.loggamma(1.0 - a)))
-            else:
-                den = den + (sp.loggamma(a + eta * al) if al != 0.0 else complex(sp.loggamma(a)))
-        return self.prefactor * np.exp(num - den)
-
-    def to_json(self) -> str:
-        doc = {
-            "m": self.m,
-            "n": self.n,
-            "p": self.p,
-            "q": self.q,
-            "upper": [[a, al] for a, al in self.upper],
-            "lower": [[b, be] for b, be in self.lower],
-            "strip": [self.strip.a, self.strip.b],
-            "prefactor": self.prefactor,
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FoxH":
-        doc = json.loads(text)
-        return cls(
-            m=doc["m"],
-            n=doc["n"],
-            p=doc["p"],
-            q=doc["q"],
-            upper=tuple(tuple(pair) for pair in doc["upper"]),
-            lower=tuple(tuple(pair) for pair in doc["lower"]),
-            strip=MellinStrip(float(doc["strip"][0]), float(doc["strip"][1])),
-            prefactor=float(doc.get("prefactor", 1.0)),
-        )
+        return self.prefactor * np.exp(_log_gamma_sum(self._num, eta) - _log_gamma_sum(self._den, eta))
 
 
 def fox_h_mellin(h: FoxH, eta: float) -> float:
     """The Gamma-product kernel of `h` at a real eta strictly inside the strip."""
     if not h.strip.contains(eta):
         raise StripError(f"eta={eta} outside strip ({h.strip.a}, {h.strip.b})")
-
-    def term(val):
-        if _is_nonpositive_integer(val, _POLE_TOL):
-            raise PoleError(f"gamma pole at argument {val}")
-        return val
-
-    log_mag = 0.0
-    sign = 1.0
-    for j, (b, be) in enumerate(h.lower):
-        arg = term(b + eta * be) if j < h.m else term(1.0 - b - eta * be)
-        contrib = float(sp.gammaln(arg))
-        s = float(sp.gammasgn(arg))
-        if j < h.m:
-            log_mag += contrib
-            sign *= s
-        else:
-            log_mag -= contrib
-            sign /= s
-    for i, (a, al) in enumerate(h.upper):
-        arg = term(1.0 - a - eta * al) if i < h.n else term(a + eta * al)
-        contrib = float(sp.gammaln(arg))
-        s = float(sp.gammasgn(arg))
-        if i < h.n:
-            log_mag += contrib
-            sign *= s
-        else:
-            log_mag -= contrib
-            sign /= s
-    return h.prefactor * sign * math.exp(log_mag)
+    for c, d in h._num + h._den:
+        if _is_nonpositive_integer(c + d * eta, _POLE_TOL):
+            raise PoleError(f"gamma pole at argument {c + d * eta}")
+    return float(np.real(h.kernel(eta)))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
@@ -300,7 +230,7 @@ def fox_h_eval(h: FoxH, x: float, *, abscissa: float | None = None, tol: float =
     c = h.strip.default_abscissa() if abscissa is None else float(abscissa)
     if not h.strip.contains(c):
         raise StripError(f"abscissa {c} outside strip")
-    for eta in h._numerator_pole_positions():
+    for eta in h._poles:
         if math.isfinite(eta) and abs(eta - c) < 1e-8:
             raise PoleError(f"contour abscissa {c} sits on a kernel pole")
     return mellin_inverse(h.kernel, x, c, tol=tol, cache_key=h)

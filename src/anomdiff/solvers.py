@@ -29,7 +29,6 @@ __all__ = [
     "eigen_system",
     "project_coefficients",
     "sturm_liouville_solution",
-    "sturm_liouville_solve",
     "time_fractional_fox",
     "time_fractional_solution",
     "generator_apply",
@@ -175,11 +174,6 @@ def sturm_liouville_solution(spec: BVPSpec) -> _SeriesSolution:
     return _SeriesSolution(spec)
 
 
-def sturm_liouville_solve(spec: BVPSpec, x: float, t: float) -> float:
-    """Value of the truncated series solution at (x, t)."""
-    return sturm_liouville_solution(spec)(x, t)
-
-
 # ---------------------------------------------------------------------------
 # subordination on the half-line
 
@@ -253,16 +247,6 @@ def adjoint_generator_apply(gamma: float, mu: float, f, x: float, h: float = 1e-
         return s ** (gm - gamma + 1.0) * (u(s + h) - u(s - h)) / (2.0 * h)
 
     return (q(x + h) - q(x - h)) / (2.0 * h) / gamma**2
-
-
-def _estimate_decay(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Log-log slope over the last decade of a sampled tail; -inf if the tail
-    has effectively vanished."""
-    tail = np.abs(values[-8:])
-    if np.any(tail < 1e-280) or np.any(tail == 0.0):
-        return -np.inf
-    slope = np.polyfit(np.log(nodes[-8:]), np.log(tail), 1)[0]
-    return float(slope)
 
 
 _RULE_NODES = 8  # Gauss nodes per mesh segment and on the singular stretch

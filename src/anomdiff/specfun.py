@@ -26,7 +26,6 @@ __all__ = [
     "bessel_j",
     "bessel_i",
     "bessel_k",
-    "bessel_j_prime",
     "bessel_j_zeros",
 ]
 
@@ -76,8 +75,9 @@ def _series(alpha: float, beta: float, z: float, factorial: bool) -> float:
     """sum_{k>=0} z^k / ([k!] Gamma(alpha*k + beta)), the k! only if `factorial`.
 
     Summation stops once terms have passed their peak and two in a row are
-    below 1e-14; a peak term whose round-off floor exceeds 1e-6 max(1, |sum|)
-    means the sum has cancelled away and raises ConvergenceError.
+    at most 1e-16 of the partial sum; a peak term whose round-off floor
+    exceeds 1e-6 max(1, |sum|) means the sum has cancelled away and raises
+    ConvergenceError.
     """
     logz = math.log(abs(z))
     acc = 0.0
@@ -105,7 +105,7 @@ def _series(alpha: float, beta: float, z: float, factorial: bool) -> float:
             peak = mag
         elif mag > 0:
             falling = True
-        if falling and mag < 1e-14:
+        if falling and mag <= 1e-16 * abs(acc):
             small += 1
             if small >= 2:
                 break
@@ -202,11 +202,6 @@ def bessel_j(order: float, x: float) -> float:
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
     return float(sp.jv(order, x))
-
-
-def bessel_j_prime(order: float, x: float) -> float:
-    """First derivative of J_order at x."""
-    return float(sp.jvp(order, x, 1))
 
 
 def bessel_i(order: float, x: float) -> float:

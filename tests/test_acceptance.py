@@ -179,14 +179,14 @@ def test_criterion_4_composition_class_invariance():
 
 def test_criterion_5_bvp_series():
     """Single-mode exactness and the Caputo-in-time evolution residual."""
-    from anomdiff.solvers import eigen_system, sturm_liouville_solve
+    from anomdiff.solvers import eigen_system
 
     es = eigen_system(1.0, 1.0, 8)
     m0 = lambda x: float(es.weight(x)) * float(es.eigenfunction(0, x))
     spec1 = BVPSpec(1.0, 1.0, 0.5, m0, n_terms=8)
     x, t = 0.4, 0.7
     want = m0(x) * mittag_leffler(MLParams(0.5), -((es.zeros[0] / 2.0) ** 2) * t**0.5)
-    single_err = abs(sturm_liouville_solve(spec1, x, t) - want)
+    single_err = abs(sturm_liouville_solution(spec1)(x, t) - want)
 
     worst_ratio = 0.0
     xv, tv = 0.5, 0.5

@@ -12,7 +12,16 @@ from scipy.special import kv
 from anomdiff.errors import ConvergenceError, PoleError, StripError
 from anomdiff import mellin
 from anomdiff.frac_calc import GridFunction, rl_left
-from anomdiff.laws import compose_fox, f_nu_beta_fox, h_density, h_fox, l_fox
+from anomdiff.laws import (
+    compose_fox,
+    compose_mellin,
+    f_nu_beta_fox,
+    h_density,
+    h_fox,
+    h_mellin,
+    l_fox,
+    l_mellin,
+)
 from anomdiff.mellin import (
     FoxH,
     MellinStrip,
@@ -22,7 +31,7 @@ from anomdiff.mellin import (
     mellin_inverse,
     mellin_numeric,
 )
-from anomdiff.solvers import space_fractional_fox
+from anomdiff.solvers import space_fractional_fox, space_fractional_mellin, time_fractional_fox
 from anomdiff.specfun import gamma_fn
 
 SQRT_PI = math.sqrt(math.pi)
@@ -223,15 +232,52 @@ class TestFoxH:
         for b in (-1.0000000015, -3.0000000035):
             assert math.isfinite(fox_h_mellin(fox(b), 0.5))
 
-    def test_json_roundtrip(self):
-        lh = l_fox(1 / 3)
-        doc = lh.to_json()
-        back = FoxH.from_json(doc)
-        assert back == lh
-        import json
+    def test_constant_factor_at_negative_argument(self):
+        # kernel Gamma(eta) Gamma(-1.5) inverts to e^-x Gamma(-1.5); the real
+        # log-Gamma of -1.5 is NaN, so the constant factor needs the complex one
+        h = FoxH(2, 0, 0, 2, (), ((0.0, 1.0), (-1.5, 0.0)), MellinStrip(0.0, 1.0))
+        assert h.kernel(0.5) == pytest.approx(SQRT_PI * gamma_fn(-1.5), rel=1e-14)
+        assert fox_h_eval(h, 1.0) == pytest.approx(0.8693991095643895, rel=1e-13)
 
-        keys = set(json.loads(doc))
-        assert {"m", "n", "p", "q", "upper", "lower", "strip"} <= keys
+    def test_equality_and_hash_read_the_fields(self):
+        a, b = space_fractional_fox(1.5, 0.7, 0.8), space_fractional_fox(1.5, 0.7, 0.8)
+        assert a == b and hash(a) == hash(b)
+        assert a != space_fractional_fox(1.5, 0.7, 0.9)
+
+
+def _time_fractional_mellin(gamma, mu, nu):
+    # the product formula of time_fractional_fox, s = (eta - 1)/gamma
+    def f(eta):
+        s = (eta - 1.0) / gamma
+        return gamma_fn(s + mu) / gamma_fn(mu) * gamma_fn(s + 1.0) / gamma_fn(nu * s + 1.0)
+
+    return f
+
+
+# each library constructor against its hand-written transform, at three eta
+# inside its strip; together they hold numerator and denominator pairs from
+# both the upper and the lower list, and a constant factor
+_FACTOR_CASES = {
+    "h": (h_fox(0.6), lambda e: h_mellin(0.6, 1.0, e), (-1.5, 0.2, 0.8)),
+    "l": (l_fox(0.4), lambda e: l_mellin(0.4, 1.0, e), (0.3, 1.0, 2.5)),
+    "compose+": (compose_fox(1.0, [0.5, 1.2, 2.0]),
+                 lambda e: compose_mellin(1.0, [0.5, 1.2, 2.0], 1.0, e), (0.6, 1.3, 3.0)),
+    "compose-": (compose_fox(-1.0, [0.5, 1.2, 2.0]),
+                 lambda e: compose_mellin(-1.0, [0.5, 1.2, 2.0], 1.0, e), (-1.0, 0.5, 1.4)),
+    "space": (space_fractional_fox(1.5, 0.7, 0.8),
+              lambda e: space_fractional_mellin(1.5, 0.7, 0.8, e, 1.0), (0.35, 0.6, 0.9)),
+    "time+": (time_fractional_fox(2.0, 1.3, 0.6), _time_fractional_mellin(2.0, 1.3, 0.6),
+              (-0.5, 1.0, 3.0)),
+    "time-": (time_fractional_fox(-2.0, 1.3, 0.6), _time_fractional_mellin(-2.0, 1.3, 0.6),
+              (-1.0, 1.0, 2.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(_FACTOR_CASES))
+def test_factor_mapping_matches_hand_written_transforms(case):
+    h, want, etas = _FACTOR_CASES[case]
+    for eta in etas:
+        assert fox_h_mellin(h, eta) == pytest.approx(want(eta), rel=1e-13, abs=0.0)
 
 
 class TestQuad:

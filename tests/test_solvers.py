@@ -21,7 +21,6 @@ from anomdiff.solvers import (
     space_fractional_density,
     space_fractional_mellin,
     sturm_liouville_solution,
-    sturm_liouville_solve,
     time_fractional_solution,
 )
 from anomdiff.specfun import MLParams, bessel_j, bessel_k, gamma_fn, mittag_leffler
@@ -92,7 +91,7 @@ class TestSturmLiouville:
         spec = BVPSpec(1.0, 1.0, 0.5, m0, n_terms=8)
         for (x, t) in ((0.4, 0.7), (0.7, 0.1)):
             want = m0(x) * mittag_leffler(MLParams(0.5), -((es.zeros[0] / 2.0) ** 2) * t**0.5)
-            assert sturm_liouville_solve(spec, x, t) == pytest.approx(want, abs=1e-10)
+            assert sturm_liouville_solution(spec)(x, t) == pytest.approx(want, abs=1e-10)
 
     def test_single_mode_classical_time_factor(self):
         es = eigen_system(1.0, 1.0, 4)
@@ -100,7 +99,7 @@ class TestSturmLiouville:
         spec = BVPSpec(1.0, 1.0, 1.0, m0, n_terms=4)
         x, t = 0.3, 0.5
         want = m0(x) * math.exp(-((es.zeros[0] / 2.0) ** 2) * t)
-        assert sturm_liouville_solve(spec, x, t) == pytest.approx(want, abs=1e-10)
+        assert sturm_liouville_solution(spec)(x, t) == pytest.approx(want, abs=1e-10)
 
     def test_boundary_decay(self):
         spec = BVPSpec(1.0, 1.0, 0.5, lambda x: 1.0, n_terms=50)

@@ -11,7 +11,6 @@ from anomdiff.specfun import (
     MLParams,
     bessel_i,
     bessel_j,
-    bessel_j_prime,
     bessel_j_zeros,
     bessel_k,
     beta_fn,
@@ -166,6 +165,21 @@ class TestWright:
             wright_w(-1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, z, factorial",
+    [(1.0, 30.0, 20.0, False), (0.5, 20.0, 1.0, False), (0.5, 30.0, 2.0, True)],
+)
+def test_series_of_small_terms_keeps_relative_precision(alpha, beta, z, factorial):
+    # every term lies below 1e-14, so only a stop relative to the partial sum
+    # sums them in full; oracle: the series in mpmath at 40 digits
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        want = float(mp.nsum(lambda k: mp.mpf(z) ** k * mp.rgamma(alpha * k + beta)
+                             / (mp.factorial(k) if factorial else 1), [0, mp.inf]))
+    got = wright_w(alpha, beta, z) if factorial else mittag_leffler(MLParams(alpha, beta), z)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 class TestBessel:
     def test_j_at_origin(self):
         assert bessel_j(0.0, 0.0) == 1.0
@@ -258,11 +272,6 @@ class TestBesselZeros:
         zs = bessel_j_zeros(-0.5, 4)
         want = (np.arange(4) + 0.5) * math.pi
         assert np.allclose(zs, want, atol=1e-10)
-
-    def test_derivative_identity_at_zeros(self):
-        zs = bessel_j_zeros(0.0, 3)
-        for z in zs:
-            assert bessel_j_prime(0.0, float(z)) == pytest.approx(-bessel_j(1.0, float(z)), abs=1e-12)
 
     def test_count_domain(self):
         with pytest.raises(DomainError):
