@@ -28,6 +28,7 @@ from .laws import (
     f_nu_beta_fox,
     gconv,
     gg_density,
+    gg_fox,
     gg_mellin,
     h_density,
     h_fox,
@@ -44,6 +45,8 @@ from .mellin import (
     MellinStrip,
     fox_h_eval,
     fox_h_mellin,
+    fox_power,
+    fox_product,
     mellin_convolve,
     mellin_inverse,
     mellin_numeric,

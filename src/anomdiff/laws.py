@@ -11,11 +11,15 @@ vector mu_j = j/(n+1) gives the one-sided stable law of index 1/(n+1) (the
 'conv' route of h_density); with gamma = 1 it gives its reciprocal, scaled.
 
 Every law here whose Mellin transform is a product of Gamma functions is an
-H-function, evaluated by one Mellin-Barnes contour (`fox_h_eval`): the
-stable and inverse laws (`h_fox`, `l_fox`), the n-fold composition
-(`compose_fox`, for n >= 3) and the mixed law (`f_nu_beta_fox`).  The
-nested adaptive quadrature that builds the same densities from their
-factors is the tests' independent oracle (tests/quadrature_oracles.py).
+H-function, evaluated by one Mellin-Barnes contour (`fox_h_eval`).  Each is
+the law of a product of powers of independent variates, so its kernel is
+built from three primitives, the generalized gamma, stable and inverse laws
+(`gg_fox`, `h_fox`, `l_fox`), by `fox_product` and `fox_power`: the n-fold
+composition (`compose_fox`, for n >= 3) is a product of generalized gamma
+laws, and the mixed law (`f_nu_beta_fox`) the stable law times a power of
+the inverse law.  The nested adaptive quadrature that builds the same
+densities from their factors is the tests' independent oracle
+(tests/quadrature_oracles.py).
 
 `tabulate_density` is the one tabulation loop, for every named density.
 
@@ -43,7 +47,7 @@ from .errors import (
     StripError,
     UnsupportedMethodError,
 )
-from .mellin import FoxH, MellinStrip, fox_h_eval
+from .mellin import FoxH, MellinStrip, fox_h_eval, fox_power, fox_product
 from .specfun import bessel_k, gamma_fn, wright_w
 
 __all__ = [
@@ -54,6 +58,7 @@ __all__ = [
     "gg_mellin",
     "gconv",
     "econv",
+    "gg_fox",
     "compose_fox",
     "compose_density",
     "compose_mellin",
@@ -253,32 +258,20 @@ def econv(gamma: float, mu1: float, mu2: float, x: float, t: float) -> float:
     )
 
 
-def compose_fox(gamma: float, mu) -> FoxH:
-    """H-function object of the n-fold composition at unit time; kernel
-    prod_j Gamma((eta-1)/gamma + mu_j) / Gamma(mu_j).
+def gg_fox(gamma: float, mu: float) -> FoxH:
+    """H-function object of the generalized gamma law at unit time; kernel
+    Gamma((eta-1)/gamma + mu) / Gamma(mu) on the strip where its argument is
+    positive.  Gamma(mu) is a constant factor, not a prefactor, so that the
+    kernel stays finite past mu = 171, where Gamma(mu) overflows."""
+    return FoxH(((mu - 1.0 / gamma, 1.0 / gamma),), ((mu, 0.0),),
+                MellinStrip(*sorted((1.0 - gamma * mu, math.copysign(math.inf, gamma)))))
 
-    For gamma > 0 every factor is a lower pair (mu_j - 1/gamma, 1/gamma) on
-    the strip (1 - gamma min mu, inf); for gamma < 0 an upper pair
-    (1 - mu_j - 1/|gamma|, 1/|gamma|) on (-inf, 1 + |gamma| min mu).
-    """
+
+def compose_fox(gamma: float, mu) -> FoxH:
+    """H-function object of the n-fold composition at unit time: the product
+    of the generalized gamma laws (gamma, mu_j)."""
     mus = mu.as_floats() if isinstance(mu, MuVector) else np.asarray(mu, dtype=float)
-    n, g = len(mus), abs(gamma)
-    prefactor = 1.0 / math.prod(gamma_fn(m) for m in mus)
-    if gamma > 0:
-        return FoxH(
-            m=n, n=0, p=0, q=n,
-            upper=(),
-            lower=tuple((m - 1.0 / g, 1.0 / g) for m in mus),
-            strip=MellinStrip(1.0 - g * min(mus), math.inf),
-            prefactor=prefactor,
-        )
-    return FoxH(
-        m=0, n=n, p=n, q=0,
-        upper=tuple((1.0 - m - 1.0 / g, 1.0 / g) for m in mus),
-        lower=(),
-        strip=MellinStrip(-math.inf, 1.0 + g * min(mus)),
-        prefactor=prefactor,
-    )
+    return fox_product(*(gg_fox(gamma, m) for m in mus))
 
 
 def compose_density(gamma: float, mu, x: float, t: float) -> float:
@@ -366,32 +359,14 @@ def resolve_method(law: str, nu: float, method: str = "auto") -> str:
 
 def h_fox(nu: float) -> FoxH:
     """H-function object whose evaluation is the one-sided stable density at
-    unit time; kernel Gamma((1-eta)/nu) / (nu Gamma(1-eta))."""
-    return FoxH(
-        m=0,
-        n=1,
-        p=1,
-        q=1,
-        upper=((1.0 - 1.0 / nu, 1.0 / nu),),
-        lower=((0.0, 1.0),),
-        strip=MellinStrip(-math.inf, 1.0),
-        prefactor=1.0 / nu,
-    )
+    unit time; kernel Gamma((1-eta)/nu) / (nu Gamma(1-eta)) on (-inf, 1)."""
+    return FoxH(((1.0 / nu, -1.0 / nu),), ((1.0, -1.0),), MellinStrip(-math.inf, 1.0), 1.0 / nu)
 
 
 def l_fox(nu: float) -> FoxH:
     """H-function object for the inverse law at unit time;
-    kernel Gamma(eta) / Gamma(eta nu - nu + 1)."""
-    return FoxH(
-        m=1,
-        n=0,
-        p=1,
-        q=1,
-        upper=((1.0 - nu, nu),),
-        lower=((0.0, 1.0),),
-        strip=MellinStrip(0.0, math.inf),
-        prefactor=1.0,
-    )
+    kernel Gamma(eta) / Gamma(eta nu - nu + 1) on (0, inf)."""
+    return FoxH(((0.0, 1.0),), ((1.0 - nu, nu),), MellinStrip(0.0, math.inf))
 
 
 def h_density(nu: float, x: float, t: float, method: str = "auto") -> float:
@@ -472,14 +447,14 @@ def l_mellin(nu: float, t: float, eta: float) -> float:
 def ratio_density(nu: float, x: float) -> float:
     """Density of the ratio of two independent one-sided stable laws:
 
-        x^(nu-1) sin(pi nu) / (pi (1 + 2 x^nu cos(pi nu) + x^(2 nu))).
+        x^(nu-1) sin(pi nu) / (pi (1 + 2 x^nu cos(pi nu) + x^(2 nu))),
+
+    for x > 0; it is unbounded as x -> 0, so x = 0 raises.
     """
     if not 0 < nu < 1:
         raise DomainError("ratio_density requires nu in (0, 1)")
-    if x < 0:
-        raise DomainError("x must be non-negative")
-    if x == 0.0:
-        return 0.0
+    if not x > 0:
+        raise DomainError("ratio_density needs x > 0: it grows like x^(nu-1) as x -> 0")
     xn = x**nu
     return (
         x ** (nu - 1.0)
@@ -489,23 +464,9 @@ def ratio_density(nu: float, x: float) -> float:
 
 
 def f_nu_beta_fox(nu: float, beta: float) -> FoxH:
-    """H-function object of the mixed law at unit time; kernel
-
-        Gamma((1-eta)/nu) / (nu Gamma(1-eta)) * Gamma((eta-1)/nu + 1)
-                                              / Gamma(beta (eta-1)/nu + 1)
-
-    on the strip (1 - nu, 1): the h-kernel times the inverse-law moment of
-    order (eta-1)/nu."""
-    return FoxH(
-        m=1,
-        n=1,
-        p=2,
-        q=2,
-        upper=((1.0 - 1.0 / nu, 1.0 / nu), (1.0 - beta / nu, beta / nu)),
-        lower=((1.0 - 1.0 / nu, 1.0 / nu), (0.0, 1.0)),
-        strip=MellinStrip(1.0 - nu, 1.0),
-        prefactor=1.0 / nu,
-    )
+    """H-function object of the mixed law at unit time: the nu-stable law
+    times the 1/nu-th power of the beta-inverse law."""
+    return fox_product(h_fox(nu), fox_power(l_fox(beta), 1.0 / nu))
 
 
 def f_nu_beta(nu: float, beta: float, x: float, t: float) -> float:
@@ -513,8 +474,9 @@ def f_nu_beta(nu: float, beta: float, x: float, t: float) -> float:
     beta-inverse time: int_0^inf h_nu(x, s) l_beta(s, t) ds.
 
     Evaluates the H-function of `f_nu_beta_fox` at x / t^(beta/nu).
-    Degenerate ends: beta = 1 gives the plain stable law, nu = 1 the plain
-    inverse law, which alone is positive at x = 0.
+    Degenerate ends: beta = 1 gives the plain stable law, which is 0 at
+    x = 0, and nu = 1 the plain inverse law, which is positive there.  For
+    nu, beta < 1 the density grows like x^(nu-1) as x -> 0, and x = 0 raises.
     """
     if not (0 < nu <= 1 and 0 < beta <= 1):
         raise DomainError("indices must lie in (0, 1]")
@@ -524,10 +486,10 @@ def f_nu_beta(nu: float, beta: float, x: float, t: float) -> float:
         return math.nan  # point mass at x = t has no density
     if nu == 1.0:
         return l_density(beta, x, t) if x > 0 else l_density(beta, 1e-300, t)
-    if x == 0.0:
-        return 0.0
     if beta == 1.0:
-        return h_density(nu, x, t)
+        return h_density(nu, x, t) if x > 0 else 0.0
+    if x == 0.0:
+        raise DomainError("f_nu_beta is unbounded at x = 0 for nu, beta < 1: it grows like x^(nu-1)")
     scale = t ** (beta / nu)
     return fox_h_eval(f_nu_beta_fox(nu, beta), x / scale) / scale
 

@@ -4,8 +4,9 @@ Numerical Mellin transforms on (0, inf), the multiplicative (Mellin)
 convolution, and H-functions defined through a ratio of Gamma products:
 the transform kernel is evaluated directly and the function itself is
 recovered by quadrature along a vertical contour inside the fundamental
-strip.  `quad` is the one adaptive-quadrature helper of the library: it
-checks every error estimate.
+strip.  Kernels of products and powers of variates are formed from their
+factors' kernels (`fox_product`, `fox_power`).  `quad` is the one
+adaptive-quadrature helper of the library: it checks every error estimate.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ __all__ = [
     "FoxH",
     "mellin_numeric",
     "mellin_convolve",
+    "fox_product",
+    "fox_power",
     "fox_h_mellin",
     "fox_h_eval",
     "mellin_inverse",
@@ -66,9 +69,10 @@ def _on_edge(eta: float, end: float) -> bool:
 
 
 def _log_gamma_sum(factors, eta):
+    # a constant factor (d = 0) is one complex log-Gamma, not one per point
     out = np.zeros_like(eta)
     for c, d in factors:
-        out = out + sp.loggamma(c + d * eta)
+        out = out + sp.loggamma(c + d * eta if d else complex(c))
     return out
 
 
@@ -95,41 +99,25 @@ def _numerator_poles(num, strip: MellinStrip) -> list:
 class FoxH:
     """An H-function identified by its Mellin kernel
 
-        prefactor * prod_{j<=m} G(b_j + eta B_j) prod_{i<=n} G(1 - a_i - eta A_i)
-                  / [prod_{j>m} G(1 - b_j - eta B_j) prod_{i>n} G(a_i + eta A_i)]
+        prefactor * prod_{(c, d) in num} G(c + d eta) / prod_{(c, d) in den} G(c + d eta)
 
-    together with a fundamental strip on which the kernel is pole free.
-    Pairs with a zero slope contribute constant Gamma factors.  The kernel
-    is kept as two lists of (c, d) pairs, each meaning G(c + d eta): `_num`
-    and `_den`; `_poles` holds the real eta where a numerator factor has a
-    pole.  They are derived from the fields, so equality and hashing ignore
-    them.
+    together with a fundamental strip on which the kernel is pole free.  A
+    pair with d = 0 is a constant Gamma factor.  The law of a product of
+    independent variates has the product of their kernels (`fox_product`),
+    and the law of a power X^r the kernel of X at 1 + r(eta - 1)
+    (`fox_power`).  `_poles` holds the real eta where a numerator factor has
+    a pole; it is derived from the fields, so equality and hashing ignore it.
     """
 
-    m: int
-    n: int
-    p: int
-    q: int
-    upper: tuple  # ((a_i, A_i), ...), length p
-    lower: tuple  # ((b_j, B_j), ...), length q
+    num: tuple  # ((c, d), ...), each G(c + d eta)
+    den: tuple
     strip: MellinStrip
     prefactor: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "upper", tuple((float(a), float(al)) for a, al in self.upper))
-        object.__setattr__(self, "lower", tuple((float(b), float(be)) for b, be in self.lower))
-        if len(self.upper) != self.p or len(self.lower) != self.q:
-            raise DomainError("upper/lower lengths must match p and q")
-        if not (0 <= self.n <= self.p and 0 <= self.m <= self.q):
-            raise DomainError("need 0 <= n <= p and 0 <= m <= q")
-        if any(al < 0 for _, al in self.upper) or any(be < 0 for _, be in self.lower):
-            raise DomainError("slopes must be non-negative")
-        m, n = self.m, self.n
-        num = self.lower[:m] + tuple((1.0 - a, -al) for a, al in self.upper[:n])
-        den = tuple((1.0 - b, -be) for b, be in self.lower[m:]) + self.upper[n:]
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_poles", _numerator_poles(num, self.strip))
+        object.__setattr__(self, "num", tuple((float(c), float(d)) for c, d in self.num))
+        object.__setattr__(self, "den", tuple((float(c), float(d)) for c, d in self.den))
+        object.__setattr__(self, "_poles", _numerator_poles(self.num, self.strip))
         a, b = self.strip.a, self.strip.b
         bad = [
             eta
@@ -143,14 +131,40 @@ class FoxH:
     def kernel(self, eta):
         """Mellin kernel at complex eta (scalar or array)."""
         eta = np.asarray(eta, dtype=complex)
-        return self.prefactor * np.exp(_log_gamma_sum(self._num, eta) - _log_gamma_sum(self._den, eta))
+        return self.prefactor * np.exp(_log_gamma_sum(self.num, eta) - _log_gamma_sum(self.den, eta))
+
+
+def fox_product(*ks: FoxH) -> FoxH:
+    """Kernel of the product of independent variates with kernels `ks`: the
+    factor lists joined, the prefactors multiplied, the strips intersected."""
+    return FoxH(
+        tuple(f for k in ks for f in k.num),
+        tuple(f for k in ks for f in k.den),
+        MellinStrip(max(k.strip.a for k in ks), min(k.strip.b for k in ks)),
+        math.prod(k.prefactor for k in ks),
+    )
+
+
+def fox_power(k: FoxH, r: float) -> FoxH:
+    """Kernel of X^r for X with kernel `k`: k(1 + r(eta - 1)), so each
+    G(c + d eta) becomes G(c + d(1 - r) + d r eta) and the strip end e
+    becomes 1 + (e - 1)/r, the ends swapping for r < 0."""
+    if r == 0.0:
+        raise DomainError("the power r must be non-zero")
+    ends = sorted(1.0 + (e - 1.0) / r for e in (k.strip.a, k.strip.b))
+    return FoxH(
+        tuple((c + d * (1.0 - r), d * r) for c, d in k.num),
+        tuple((c + d * (1.0 - r), d * r) for c, d in k.den),
+        MellinStrip(*ends),
+        k.prefactor,
+    )
 
 
 def fox_h_mellin(h: FoxH, eta: float) -> float:
     """The Gamma-product kernel of `h` at a real eta strictly inside the strip."""
     if not h.strip.contains(eta):
         raise StripError(f"eta={eta} outside strip ({h.strip.a}, {h.strip.b})")
-    for c, d in h._num + h._den:
+    for c, d in h.num + h.den:
         if _is_nonpositive_integer(c + d * eta, _POLE_TOL):
             raise PoleError(f"gamma pole at argument {c + d * eta}")
     return float(np.real(h.kernel(eta)))

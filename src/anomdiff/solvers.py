@@ -19,8 +19,18 @@ from scipy import special
 
 from .errors import DomainError, StripError, UnsupportedMethodError
 from .frac_calc import GridFunction, rl_right
-from .laws import GGLaw, f_nu_beta, gg_density, h_density, l_density, ratio_density
-from .mellin import FoxH, MellinStrip, fox_h_eval, quad
+from .laws import (
+    GGLaw,
+    f_nu_beta,
+    f_nu_beta_fox,
+    gg_density,
+    gg_fox,
+    h_density,
+    l_density,
+    l_fox,
+    ratio_density,
+)
+from .mellin import FoxH, fox_h_eval, fox_power, fox_product, quad
 from .specfun import MLParams, bessel_j, bessel_j_zeros, gamma_fn, mittag_leffler
 
 __all__ = [
@@ -179,28 +189,11 @@ def sturm_liouville_solution(spec: BVPSpec) -> _SeriesSolution:
 
 
 def time_fractional_fox(gamma: float, mu: float, nu: float) -> FoxH:
-    """H-function object of the time-fractional solution at unit scale;
-    kernel Gamma(s + mu)/Gamma(mu) * Gamma(s + 1)/Gamma(nu s + 1) with
-    s = (eta-1)/gamma: the tilde-law transform times the inverse-law moment
-    of order s.  Lower (numerator) pairs for gamma > 0 on the strip
-    (1 - gamma min(mu, 1), inf), upper ones for gamma < 0 on
-    (-inf, 1 + |gamma| min(mu, 1))."""
-    g = abs(gamma)
-    if gamma > 0:
-        return FoxH(
-            m=2, n=0, p=1, q=2,
-            upper=((1.0 - nu / g, nu / g),),
-            lower=((mu - 1.0 / g, 1.0 / g), (1.0 - 1.0 / g, 1.0 / g)),
-            strip=MellinStrip(1.0 - g * min(mu, 1.0), math.inf),
-            prefactor=1.0 / gamma_fn(mu),
-        )
-    return FoxH(
-        m=0, n=2, p=2, q=1,
-        upper=((1.0 - mu - 1.0 / g, 1.0 / g), (-1.0 / g, 1.0 / g)),
-        lower=((-nu / g, nu / g),),
-        strip=MellinStrip(-math.inf, 1.0 + g * min(mu, 1.0)),
-        prefactor=1.0 / gamma_fn(mu),
-    )
+    """H-function object of the time-fractional solution at unit scale: the
+    generalized gamma law (gamma, mu) times the 1/gamma-th power of the
+    nu-inverse law; kernel Gamma(s + mu)/Gamma(mu) * Gamma(s + 1)/Gamma(nu s + 1)
+    with s = (eta-1)/gamma."""
+    return fox_product(gg_fox(gamma, mu), fox_power(l_fox(nu), 1.0 / gamma))
 
 
 def time_fractional_solution(gamma: float, mu: float, nu: float, x: float, t: float) -> float:
@@ -370,18 +363,8 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
 
 def space_fractional_fox(mu: float, nu: float, beta: float) -> FoxH:
     """H-function object of the self-similar profile of the mixed law at unit
-    time; strip (max(1-mu, 1-nu), 1) keeps every kernel pole outside."""
-    a = max(1.0 - mu, 1.0 - nu)
-    return FoxH(
-        m=2,
-        n=1,
-        p=3,
-        q=3,
-        upper=((1.0 - 1.0 / nu, 1.0 / nu), (1.0 - beta / nu, beta / nu), (mu, 0.0)),
-        lower=((mu - 1.0, 1.0), (1.0 - 1.0 / nu, 1.0 / nu), (0.0, 1.0)),
-        strip=MellinStrip(a, 1.0),
-        prefactor=1.0 / nu,
-    )
+    time: a gamma draw of shape mu times the mixed law of `f_nu_beta_fox`."""
+    return fox_product(gg_fox(1.0, mu), f_nu_beta_fox(nu, beta))
 
 
 def space_fractional_mellin(mu: float, nu: float, beta: float, eta: float, t: float) -> float:

@@ -177,9 +177,7 @@ def mittag_leffler(p: MLParams, z: float) -> float:
         return value
     from .mellin import FoxH, MellinStrip, fox_h_eval  # mellin imports specfun
 
-    kernel = FoxH(m=1, n=1, p=1, q=2, upper=((0.0, 1.0),), lower=((0.0, 1.0), (1.0 - beta, alpha)),
-                  strip=MellinStrip(0.0, 1.0))
-    return fox_h_eval(kernel, -z)
+    return fox_h_eval(FoxH(((0.0, 1.0), (1.0, -1.0)), ((beta, -alpha),), MellinStrip(0.0, 1.0)), -z)
 
 
 def wright_w(alpha: float, beta: float, z: float) -> float:

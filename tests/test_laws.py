@@ -285,6 +285,16 @@ class TestRatioLaw:
             val = quad(lambda x: ratio_density(nu, x), 0, np.inf, limit=300)[0]
             assert val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 0.8])
+    def test_unbounded_at_origin_raises(self, nu):
+        with pytest.raises(DomainError, match="x\\^\\(nu-1\\)"):
+            ratio_density(nu, 0.0)
+        # x^(1-nu) f(x) -> sin(pi nu)/pi as x -> 0
+        for x in (1e-15, 1e-20, 1e-25):
+            assert x ** (1.0 - nu) * ratio_density(nu, x) == pytest.approx(
+                math.sin(math.pi * nu) / math.pi, rel=1e-3
+            )
+
     @given(st.floats(0.05, 0.95), st.floats(0.05, 20.0))
     @settings(max_examples=80, deadline=None)
     def test_inversion_symmetry(self, nu, x):
@@ -303,9 +313,21 @@ class TestMixedLaw:
     def test_beta_one_degenerates_to_stable(self):
         assert f_nu_beta(0.5, 1.0, 1.0, 1.0) == pytest.approx(levy_density(1.0, 1.0), rel=1e-12)
 
-    @pytest.mark.parametrize("nu,beta", [(0.5, 1.0), (0.5, 0.5), (0.7, 0.3)])
+    @pytest.mark.parametrize("nu,beta", [(0.5, 1.0)])
     def test_zero_at_origin(self, nu, beta):
+        # beta = 1 is the stable law, which vanishes at the origin
         assert f_nu_beta(nu, beta, 0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("nu,beta", [(0.5, 0.5), (0.7, 0.3), (0.7, 0.5)])
+    def test_unbounded_at_origin_raises(self, nu, beta):
+        # for nu, beta < 1 the density grows like x^(nu-1) as x -> 0
+        with pytest.raises(DomainError, match="unbounded"):
+            f_nu_beta(nu, beta, 0.0, 1.0)
+        xs = (1e-2, 1e-4, 1e-6, 1e-8)
+        vals = [f_nu_beta(nu, beta, x, 1.0) for x in xs]
+        for x, v in zip(xs, vals):
+            assert v * x ** (1.0 - nu) == pytest.approx(vals[-1] * xs[-1] ** (1.0 - nu), rel=0.05)
+        assert vals == sorted(vals)
 
     def test_normalization(self):
         val = quad(lambda x: f_nu_beta(0.5, 0.5, x, 1.0), 0, np.inf, limit=200)[0]

@@ -9,13 +9,14 @@ from scipy import special as sp
 from scipy.integrate import IntegrationWarning
 from scipy.special import kv
 
-from anomdiff.errors import ConvergenceError, PoleError, StripError
+from anomdiff.errors import ConvergenceError, DomainError, PoleError, StripError
 from anomdiff import mellin
 from anomdiff.frac_calc import GridFunction, rl_left
 from anomdiff.laws import (
     compose_fox,
     compose_mellin,
     f_nu_beta_fox,
+    gg_fox,
     h_density,
     h_fox,
     h_mellin,
@@ -27,6 +28,8 @@ from anomdiff.mellin import (
     MellinStrip,
     fox_h_eval,
     fox_h_mellin,
+    fox_power,
+    fox_product,
     mellin_convolve,
     mellin_inverse,
     mellin_numeric,
@@ -148,18 +151,14 @@ class TestFoxH:
         )
 
     def test_shift_property(self):
-        # shifting every parameter by c times its slope multiplies the
-        # function by x^c (the kernel becomes kernel(eta + c)); equivalently
-        # the original equals x^-c times the shifted evaluation
+        # shifting every factor (c, d) to (c + d, d) turns the kernel into
+        # kernel(eta + 1) and multiplies the function by x; equivalently
+        # the original equals x^-1 times the shifted evaluation
         lh = l_fox(0.5)
         shifted = FoxH(
-            m=lh.m,
-            n=lh.n,
-            p=lh.p,
-            q=lh.q,
-            upper=tuple((a + al, al) for a, al in lh.upper),
-            lower=tuple((b + be, be) for b, be in lh.lower),
-            strip=MellinStrip(lh.strip.a - 1.0, lh.strip.b),
+            tuple((c + d, d) for c, d in lh.num),
+            tuple((c + d, d) for c, d in lh.den),
+            MellinStrip(lh.strip.a - 1.0, lh.strip.b),
         )
         for eta in (1.2, 1.8):
             assert fox_h_mellin(shifted, eta) == pytest.approx(
@@ -189,17 +188,14 @@ class TestFoxH:
 
     def test_pole_free_strip_enforced(self):
         with pytest.raises(PoleError):
-            FoxH(m=1, n=0, p=1, q=1, upper=((0.5, 0.5),), lower=((0.0, 1.0),),
-                 strip=MellinStrip(-1.0, 1.0))
+            FoxH(((0.0, 1.0),), ((0.5, 0.5),), MellinStrip(-1.0, 1.0))
 
     def test_pole_on_strip_edge_lies_outside(self):
         # Gamma(eta) has its pole at 0: a strip end within 1e-12 of it is
         # taken as lying on the pole, a strip end 1e-6 below it is not
-        FoxH(m=1, n=0, p=0, q=1, upper=(), lower=((0.0, 1.0),),
-             strip=MellinStrip(-1e-14, 1.0))
+        FoxH(((0.0, 1.0),), (), MellinStrip(-1e-14, 1.0))
         with pytest.raises(PoleError):
-            FoxH(m=1, n=0, p=0, q=1, upper=(), lower=((0.0, 1.0),),
-                 strip=MellinStrip(-1e-6, 1.0))
+            FoxH(((0.0, 1.0),), (), MellinStrip(-1e-6, 1.0))
         # kernels whose edge pole computes one ulp inside their strip
         for nu in (0.3, 0.8, 0.9):
             for beta in (0.3, 0.5, 1.0):
@@ -224,7 +220,7 @@ class TestFoxH:
     def test_pole_tolerance_is_relative(self):
         # a Gamma argument within 1e-9 max(1, |x|) of 0, -1, -2, ... is a pole
         def fox(b):
-            return FoxH(2, 0, 0, 2, (), ((0.0, 1.0), (b, 0.0)), MellinStrip(0.0, 1.0))
+            return FoxH(((0.0, 1.0), (b, 0.0)), (), MellinStrip(0.0, 1.0))
 
         for b in (-1.0000000005, -3.0000000025):
             with pytest.raises(PoleError):
@@ -235,7 +231,7 @@ class TestFoxH:
     def test_constant_factor_at_negative_argument(self):
         # kernel Gamma(eta) Gamma(-1.5) inverts to e^-x Gamma(-1.5); the real
         # log-Gamma of -1.5 is NaN, so the constant factor needs the complex one
-        h = FoxH(2, 0, 0, 2, (), ((0.0, 1.0), (-1.5, 0.0)), MellinStrip(0.0, 1.0))
+        h = FoxH(((0.0, 1.0), (-1.5, 0.0)), (), MellinStrip(0.0, 1.0))
         assert h.kernel(0.5) == pytest.approx(SQRT_PI * gamma_fn(-1.5), rel=1e-14)
         assert fox_h_eval(h, 1.0) == pytest.approx(0.8693991095643895, rel=1e-13)
 
@@ -255,8 +251,8 @@ def _time_fractional_mellin(gamma, mu, nu):
 
 
 # each library constructor against its hand-written transform, at three eta
-# inside its strip; together they hold numerator and denominator pairs from
-# both the upper and the lower list, and a constant factor
+# inside its strip; together they hold numerator and denominator factors
+# with slopes of both signs, and constant factors
 _FACTOR_CASES = {
     "h": (h_fox(0.6), lambda e: h_mellin(0.6, 1.0, e), (-1.5, 0.2, 0.8)),
     "l": (l_fox(0.4), lambda e: l_mellin(0.4, 1.0, e), (0.3, 1.0, 2.5)),
@@ -278,6 +274,60 @@ def test_factor_mapping_matches_hand_written_transforms(case):
     h, want, etas = _FACTOR_CASES[case]
     for eta in etas:
         assert fox_h_mellin(h, eta) == pytest.approx(want(eta), rel=1e-13, abs=0.0)
+
+
+def _same_kernel(a, b, tol=1e-15):
+    # factor by factor, to tol relative to max(1, |value|); strip ends and prefactor too
+    for fa, fb in ((a.num, b.num), (a.den, b.den)):
+        assert len(fa) == len(fb)
+        for pa, pb in zip(fa, fb):
+            assert pa == pytest.approx(pb, rel=tol, abs=tol)
+    assert (a.strip.a, a.strip.b) == pytest.approx((b.strip.a, b.strip.b), rel=tol, abs=tol)
+    assert a.prefactor == pytest.approx(b.prefactor, rel=tol)
+
+
+class TestKernelAlgebra:
+    @pytest.mark.parametrize("gamma", [1.0, -2.0])
+    @pytest.mark.parametrize("r", [2.0, 0.5, -1.0])
+    def test_power_of_generalized_gamma(self, gamma, r):
+        # X ~ (gamma, mu) is G^(1/gamma) for a gamma variate G, so X^r ~ (gamma/r, mu)
+        _same_kernel(fox_power(gg_fox(gamma, 1.3), r), gg_fox(gamma / r, 1.3))
+
+    @pytest.mark.parametrize("r", [3.0, 0.4, -0.5, -2.0])
+    def test_power_round_trip(self, r):
+        for k in (h_fox(0.6), l_fox(0.4), compose_fox(-1.0, [0.5, 1.2]),
+                  space_fractional_fox(1.5, 0.7, 0.8)):
+            _same_kernel(fox_power(fox_power(k, r), 1.0 / r), k, tol=1e-14)
+
+    def test_zero_power_raises(self):
+        with pytest.raises(DomainError):
+            fox_power(l_fox(0.5), 0.0)
+
+    def test_product_kernel_and_strip(self):
+        ks = (h_fox(0.6), fox_power(l_fox(0.4), 1.0 / 0.6), gg_fox(1.0, 0.9))
+        prod = fox_product(*ks)
+        assert (prod.strip.a, prod.strip.b) == (0.4, 1.0)  # (-inf, 1), (0.4, inf), (0.1, inf)
+        etas = np.array([0.5 + 0.0j, 0.7 + 2.5j, 0.45 - 11.0j, 0.9 + 40.0j])
+        want = ks[0].kernel(etas) * ks[1].kernel(etas) * ks[2].kernel(etas)
+        np.testing.assert_allclose(prod.kernel(etas), want, rtol=1e-13, atol=0.0)
+
+    def test_constructor_strips_match_hand_derived(self):
+        # the strips each constructor wrote out by hand before it became a
+        # product of primitives
+        cases = [(h_fox(0.6), (-math.inf, 1.0)), (l_fox(0.4), (0.0, math.inf))]
+        for nu, beta in ((0.7, 0.5), (0.9, 0.5), (0.3, 1.0)):
+            cases.append((f_nu_beta_fox(nu, beta), (1.0 - nu, 1.0)))
+            for mu in (0.4, 1.5):
+                cases.append((space_fractional_fox(mu, nu, beta), (max(1.0 - mu, 1.0 - nu), 1.0)))
+        mus = [0.5, 1.2, 2.0]
+        for g in (1.0, 2.5):
+            cases.append((compose_fox(g, mus), (1.0 - g * min(mus), math.inf)))
+            cases.append((compose_fox(-g, mus), (-math.inf, 1.0 + g * min(mus))))
+            for mu in (0.7, 1.3):
+                cases.append((time_fractional_fox(g, mu, 0.6), (1.0 - g * min(mu, 1.0), math.inf)))
+                cases.append((time_fractional_fox(-g, mu, 0.6), (-math.inf, 1.0 + g * min(mu, 1.0))))
+        for h, want in cases:
+            assert (h.strip.a, h.strip.b) == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 class TestQuad:
