@@ -3,8 +3,8 @@
 A single entry point dispatching on --command:
 
   tabulate   write a density table as CSV (x, t, value, method)
-  solve-bvp  evaluate the eigenfunction series on a grid, CSV plus an
-             eigen-system JSON sidecar
+  solve-bvp  evaluate the eigenfunction series on a grid; with --out, the
+             eigen-system also goes to the JSON sidecar <out>.eigen.json
   sample     dump draws from one of the samplers, one value per line
   verify     run the verification suite, JSON report, non-zero exit on failure
   moments    Monte Carlo scaling exponent of a subordinated moment
@@ -137,8 +137,8 @@ def cmd_solve_bvp(params, seed, out, fmt):
     sol = solvers.sturm_liouville_solution(spec)
     rows = [(float(x), t, sol(float(x), t)) for t in ts for x in xs]
     _write_rows(out, ("x", "t", "value"), rows, fmt)
-    sidecar = (out + ".eigen.json") if out else None
-    _write_json(sidecar, sol.eigen_system_with_coefficients().to_json_dict())
+    if out is not None:
+        _write_json(out + ".eigen.json", sol.eigen_system_with_coefficients().to_json_dict())
     return 0
 
 

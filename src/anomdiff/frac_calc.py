@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DivergentTailError, DomainError
 from .mellin import quad
-from .specfun import gamma_fn
+from .specfun import gamma_fn, sp
 
 __all__ = [
     "PowerLaw",
@@ -157,9 +156,9 @@ def _grid_right_alg_integral(gf: GridFunction, a: float, x: float) -> float:
     if not b > 0.0:
         raise DivergentTailError(f"grid tail exponent {p} too weak for a kernel of order {a}")
     if x < x_max:
-        tail = v_max * x_max ** (1.0 - a) * special.hyp2f1(a, b, b + 1.0, x / x_max) / b
+        tail = v_max * x_max ** (1.0 - a) * sp.hyp2f1(a, b, b + 1.0, x / x_max) / b
     else:
-        tail = v_max * x_max ** (-p) * x ** (-b) * special.beta(1.0 - a, b)
+        tail = v_max * x_max ** (-p) * x ** (-b) * sp.beta(1.0 - a, b)
     return float(body + tail)
 
 

@@ -17,11 +17,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError, PoleError, StripError
-from .specfun import _is_nonpositive_integer
+from .specfun import _is_nonpositive_integer, sp
 
 __all__ = [
     "MellinStrip",
@@ -263,6 +261,8 @@ def quad(fn, a: float, b: float, *, log: bool = False, vector: bool = False,
     max(budget, 1e-6 |value|), with |value| the largest entry and budget
     defaulting to epsabs; otherwise ConvergenceError names both.
     """
+    from scipy import integrate
+
     g = fn
     if log:
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, StripError, UnsupportedMethodError
 from .frac_calc import GridFunction, rl_right
@@ -31,7 +30,7 @@ from .laws import (
     ratio_density,
 )
 from .mellin import FoxH, fox_h_eval, fox_power, fox_product, quad
-from .specfun import MLParams, bessel_j, bessel_j_zeros, gamma_fn, mittag_leffler
+from .specfun import MLParams, bessel_j, bessel_j_zeros, gamma_fn, mittag_leffler, sp
 
 __all__ = [
     "BVPSpec",
@@ -78,7 +77,7 @@ class EigenSystem:
         """psi_k(x); an array of mode indices k gives every psi_k at one x."""
         x = np.asarray(x, dtype=float)
         g, mu = self.gamma, self.mu
-        return x ** (0.5 * g * (1.0 - mu)) * special.jv(mu - 1.0, np.asarray(self.zeros)[k] * x ** (0.5 * g))
+        return x ** (0.5 * g * (1.0 - mu)) * sp.jv(mu - 1.0, np.asarray(self.zeros)[k] * x ** (0.5 * g))
 
     def with_coefficients(self, coeffs) -> "EigenSystem":
         return EigenSystem(self.gamma, self.mu, self.zeros, self.norms, tuple(coeffs))
@@ -347,7 +346,7 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
             # the kernel's singularity sits just past segment j - 1, where its
             # Gauss-Legendre rule loses accuracy: the last stretch takes it too
             j -= 1
-        head = mid_vals[0] * x**-nu * special.hyp2f1(nu, head_pow, head_pow + 1.0, mesh[0] / x)
+        head = mid_vals[0] * x**-nu * sp.hyp2f1(nu, head_pow, head_pow + 1.0, mesh[0] / x)
         body = np.sum(slope_w[:j] * (x - sq[:j]) ** -nu)
         hw = 0.5 * (x - mesh[j])
         s = mesh[j] + hw * (tj + 1.0)

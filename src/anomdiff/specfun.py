@@ -12,8 +12,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -28,6 +26,25 @@ __all__ = [
     "bessel_k",
     "bessel_j_zeros",
 ]
+
+
+class _LazySpecial:
+    """scipy.special, imported at the first attribute read.
+
+    Every module of the package reaches scipy.special through the one
+    instance `sp`, so `import anomdiff` loads no SciPy.  Each attribute is
+    cached on the instance, so later reads are plain instance lookups.
+    """
+
+    def __getattr__(self, name):
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+sp = _LazySpecial()
 
 _EPS = np.finfo(float).eps
 _LOG_MAX = math.log(sys.float_info.max)
@@ -231,6 +248,8 @@ def bessel_j_zeros(order: float, count: int) -> np.ndarray:
         raise DomainError("count must be >= 1")
     if not order > -1.0:
         raise DomainError("bessel_j_zeros requires order > -1")
+
+    from scipy.optimize import brentq
 
     zeros = []
     step = math.pi / 8.0

@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from . import laws, mellin, montecarlo, solvers
 from .frac_calc import GridFunction, PowerLaw, caputo, rl_left, rl_right
 from .laws import GGLaw, MuVector
 from .montecarlo import RngSpec
-from .specfun import MLParams, bessel_j, gamma_fn, mittag_leffler, wright_w
+from .specfun import MLParams, bessel_j, gamma_fn, mittag_leffler, sp, wright_w
 
 __all__ = ["run_suite", "available_suites"]
 

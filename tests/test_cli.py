@@ -194,6 +194,18 @@ class TestSolveBvp:
         assert {"order", "zeros", "norms", "coefficients"} <= set(sidecar)
         assert sidecar["zeros"][0] == pytest.approx(2.404825557695773, abs=1e-9)
 
+    def test_stdout_is_one_document(self, capsys):
+        # the eigen-system sidecar is named after --out, so without it only
+        # the table reaches stdout
+        grid = ["--param", "nx=3", "--param", "n_terms=6"]
+        assert run_cli(["--command", "solve-bvp", *grid]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "x,t,value"
+        assert len(lines) == 4 and all(len(l.split(",")) == 3 for l in lines[1:])
+        assert run_cli(["--command", "solve-bvp", *grid, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["columns"] == ["x", "t", "value"] and len(doc["rows"]) == 3
+
     def test_unknown_preset(self):
         assert run_cli([
             "--command", "solve-bvp", "--param", "m0=mystery",

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy import special as sp
 from scipy.integrate import IntegrationWarning
 from scipy.special import kv
@@ -360,9 +361,9 @@ class TestQuad:
             1e-4: lambda: mellin_numeric(lambda x: math.exp(-x), 0.5, abs_tol=1e-4),
         }
         for budget, call in calls.items():
-            monkeypatch.setattr(mellin.integrate, "quad", lambda *a, **k: (1e-3, 0.5 * budget))
+            monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (1e-3, 0.5 * budget))
             assert call() == 1e-3
-            monkeypatch.setattr(mellin.integrate, "quad", lambda *a, **k: (1e-3, 2.0 * budget))
+            monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (1e-3, 2.0 * budget))
             with pytest.raises(ConvergenceError):
                 call()
 
