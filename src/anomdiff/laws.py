@@ -17,9 +17,10 @@ built from three primitives, the generalized gamma, stable and inverse laws
 (`gg_fox`, `h_fox`, `l_fox`), by `fox_product` and `fox_power`: the n-fold
 composition (`compose_fox`, for n >= 3) is a product of generalized gamma
 laws, and the mixed law (`f_nu_beta_fox`) the stable law times a power of
-the inverse law.  The nested adaptive quadrature that builds the same
-densities from their factors is the tests' independent oracle
-(tests/quadrature_oracles.py).
+the inverse law.  The kernel constructors are memoized, so a contour
+evaluation reaches the contour cache without building a kernel.  The nested
+adaptive quadrature that builds the same densities from their factors is the
+tests' independent oracle (tests/quadrature_oracles.py).
 
 `tabulate_density` is the one tabulation loop, for every named density.
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -258,6 +260,7 @@ def econv(gamma: float, mu1: float, mu2: float, x: float, t: float) -> float:
     )
 
 
+@lru_cache(maxsize=256)
 def gg_fox(gamma: float, mu: float) -> FoxH:
     """H-function object of the generalized gamma law at unit time; kernel
     Gamma((eta-1)/gamma + mu) / Gamma(mu) on the strip where its argument is
@@ -271,6 +274,11 @@ def compose_fox(gamma: float, mu) -> FoxH:
     """H-function object of the n-fold composition at unit time: the product
     of the generalized gamma laws (gamma, mu_j)."""
     mus = mu.as_floats() if isinstance(mu, MuVector) else np.asarray(mu, dtype=float)
+    return _compose_fox(float(gamma), tuple(float(m) for m in mus))
+
+
+@lru_cache(maxsize=256)
+def _compose_fox(gamma: float, mus: tuple) -> FoxH:
     return fox_product(*(gg_fox(gamma, m) for m in mus))
 
 
@@ -357,12 +365,14 @@ def resolve_method(law: str, nu: float, method: str = "auto") -> str:
         return _AUTO_FALLBACK[law]
 
 
+@lru_cache(maxsize=256)
 def h_fox(nu: float) -> FoxH:
     """H-function object whose evaluation is the one-sided stable density at
     unit time; kernel Gamma((1-eta)/nu) / (nu Gamma(1-eta)) on (-inf, 1)."""
     return FoxH(((1.0 / nu, -1.0 / nu),), ((1.0, -1.0),), MellinStrip(-math.inf, 1.0), 1.0 / nu)
 
 
+@lru_cache(maxsize=256)
 def l_fox(nu: float) -> FoxH:
     """H-function object for the inverse law at unit time;
     kernel Gamma(eta) / Gamma(eta nu - nu + 1) on (0, inf)."""
@@ -463,6 +473,7 @@ def ratio_density(nu: float, x: float) -> float:
     )
 
 
+@lru_cache(maxsize=256)
 def f_nu_beta_fox(nu: float, beta: float) -> FoxH:
     """H-function object of the mixed law at unit time: the nu-stable law
     times the 1/nu-th power of the beta-inverse law."""

@@ -187,6 +187,7 @@ def sturm_liouville_solution(spec: BVPSpec) -> _SeriesSolution:
 # subordination on the half-line
 
 
+@lru_cache(maxsize=256)
 def time_fractional_fox(gamma: float, mu: float, nu: float) -> FoxH:
     """H-function object of the time-fractional solution at unit scale: the
     generalized gamma law (gamma, mu) times the 1/gamma-th power of the
@@ -360,6 +361,7 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
 # the mixed space-fractional density and its transform
 
 
+@lru_cache(maxsize=256)
 def space_fractional_fox(mu: float, nu: float, beta: float) -> FoxH:
     """H-function object of the self-similar profile of the mixed law at unit
     time: a gamma draw of shape mu times the mixed law of `f_nu_beta_fox`."""

@@ -14,6 +14,7 @@ from anomdiff.errors import ConvergenceError, DomainError, PoleError, StripError
 from anomdiff import mellin
 from anomdiff.frac_calc import GridFunction, rl_left
 from anomdiff.laws import (
+    MuVector,
     compose_fox,
     compose_mellin,
     f_nu_beta_fox,
@@ -77,6 +78,14 @@ class TestMellinNumeric:
         # inside the strip (-inf, 1 + nu) of the stable law: Gamma(1 + 1.4) / Gamma(1.7)
         got = mellin_numeric(lambda s: h_density(0.5, s, 1.0), 0.3)
         assert got == pytest.approx(gamma_fn(2.4) / gamma_fn(1.7), abs=1e-9)
+
+    def test_support_cut_is_not_checked(self):
+        # the caller owns a support cut: at x = 1e4, x^0.5/(1 + x) is 1e-2, far
+        # above abs_tol, yet no StripError, and the transform is truncated there
+        f = lambda x: 1.0 / (1.0 + x)
+        got = mellin_numeric(f, 0.5, support=(1e-30, 1e4))
+        assert got == pytest.approx(2.0 * math.atan(100.0), abs=1e-9)  # int_0^1e4 x^-0.5/(1+x) dx
+        assert mellin_numeric(f, 0.5) == pytest.approx(math.pi, abs=1e-9)
 
     def test_scaling_and_shift_rules(self):
         f = gamma_density(2.0)
@@ -372,3 +381,82 @@ class TestQuad:
         calls = re.compile(r"integrate\.quad|integrate import .*\bquad|IntegrationWarning")
         offenders = [p.name for p in sorted(src.glob("*.py")) if p.name != "mellin.py" and calls.search(p.read_text())]
         assert offenders == []
+
+
+def _per_panel_samples(kernel, abscissa, panel, tol, max_height=800.0):
+    # two kernel calls per panel, each panel's nodes concatenated: the sampling
+    # the merged-panel rule of mellin._contour_samples must reproduce bit for bit
+    scale = abs(complex(np.asarray(kernel(complex(abscissa, 0.0))).ravel()[0]))
+    if not math.isfinite(scale) or scale == 0.0:
+        scale = 1.0
+    nodes, weighted, t0 = [], [], 0.0
+    while t0 < max_height:
+        s = t0 + 0.5 * panel * (mellin._GL_NODES + 1.0)
+        nodes.append(s)
+        weighted.append(0.5 * panel * mellin._GL_WEIGHTS * np.asarray(kernel(abscissa + 1j * s)))
+        t0 += panel
+        if abs(complex(np.asarray(kernel(complex(abscissa, t0))).ravel()[0])) < tol * scale:
+            return np.concatenate(nodes), np.concatenate(weighted)
+    raise ConvergenceError("no decay")
+
+
+# kernels of the contour routes of the benchmark's direct and nested operations
+_ROUTE_KERNELS = (
+    [h_fox(nu) for nu in (0.2, 0.3, 0.5, 0.7, 0.8, 0.9)]
+    + [l_fox(nu) for nu in (0.2, 0.3, 0.5, 0.7, 0.9)]
+    + [space_fractional_fox(*p) for p in ((1.0, 0.5, 0.5), (1.0, 0.7, 0.5), (1.5, 0.6, 1.0))]
+    + [compose_fox(g, [0.25, 0.5, 0.75]) for g in (1.0, -1.0, 4.0)]
+    + [compose_fox(g, [0.2, 0.4, 0.6, 0.8]) for g in (1.0, -1.0, 5.0)]
+    + [compose_fox(g, [0.5, 1.0, 1.5]) for g in (-1.0, 2.0)]
+    + [f_nu_beta_fox(0.7, 0.5), f_nu_beta_fox(0.4, 0.5)]
+    + [time_fractional_fox(1.0, 1.5, 0.5), time_fractional_fox(2.0, 0.7, 0.5)]
+)
+
+
+class TestContourSum:
+    @pytest.mark.parametrize("panel", [4.0, 2.0, 1.0])
+    def test_merged_panels_equal_per_panel_sampling(self, panel):
+        for k in _ROUTE_KERNELS:
+            c = k.strip.default_abscissa()
+            t0, h, w = mellin._contour_samples(k.kernel, c, panel, 1e-13, 800.0)
+            s, wk = _per_panel_samples(k.kernel, c, panel, 1e-13)
+            assert np.array_equal(t0, panel * np.arange(len(t0)))
+            assert np.array_equal((t0[:, None] + h).ravel(), s)
+            assert np.array_equal(w.ravel(), wk)
+
+    @pytest.mark.parametrize("kernel", [
+        h_fox(0.3), l_fox(0.7), compose_fox(-1.0, (1 / 4, 2 / 4, 3 / 4)),
+        space_fractional_fox(1.0, 0.7, 0.5),
+    ])
+    def test_separable_sum_equals_per_sample_sum(self, kernel):
+        c = kernel.strip.default_abscissa()
+        for x in (1e-3, 0.5, 1.0, 30.0, 1e3):
+            lx = math.log(x)
+            t0, h, w = mellin._contour_samples(kernel.kernel, c, mellin._panel_length(lx), 1e-13, 800.0)
+            want = float(np.real(np.exp(-1j * (t0[:, None] + h).ravel() * lx) @ w.ravel()))
+            got = fox_h_eval(kernel, x) * math.pi * x**c
+            assert abs(got - want) <= 1e-14 * np.abs(w).sum()
+
+    def test_constructors_are_memoized(self):
+        mus = (0.25, 0.5, 0.75)
+        same = [
+            (gg_fox(2.0, 1.3), gg_fox(2.0, 1.3)),
+            (h_fox(0.3), h_fox(0.3)),
+            (l_fox(0.7), l_fox(0.7)),
+            (f_nu_beta_fox(0.7, 0.5), f_nu_beta_fox(0.7, 0.5)),
+            (time_fractional_fox(2.0, 1.3, 0.6), time_fractional_fox(2.0, 1.3, 0.6)),
+            (space_fractional_fox(1.0, 0.7, 0.5), space_fractional_fox(1.0, 0.7, 0.5)),
+            (compose_fox(-1.0, mus), compose_fox(-1, list(mus))),
+            (compose_fox(-1.0, mus), compose_fox(-1.0, np.array(mus))),
+            (compose_fox(-1.0, mus), compose_fox(-1.0, MuVector.from_integers((1, 2, 3), 4))),
+        ]
+        for a, b in same:
+            assert a is b
+        assert compose_fox(-1.0, mus) is not compose_fox(1.0, mus)
+
+    def test_hash_is_computed_once_from_the_fields(self):
+        # the memoized constructor returns one object, so build an equal one apart
+        a = space_fractional_fox(1.5, 0.7, 0.8)
+        b = FoxH(a.num, a.den, a.strip, a.prefactor)
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == a._hash == hash((a.num, a.den, a.strip, a.prefactor))
