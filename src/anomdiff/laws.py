@@ -17,10 +17,16 @@ built from three primitives, the generalized gamma, stable and inverse laws
 (`gg_fox`, `h_fox`, `l_fox`), by `fox_product` and `fox_power`: the n-fold
 composition (`compose_fox`, for n >= 3) is a product of generalized gamma
 laws, and the mixed law (`f_nu_beta_fox`) the stable law times a power of
-the inverse law.  The kernel constructors are memoized, so a contour
-evaluation reaches the contour cache without building a kernel.  The nested
-adaptive quadrature that builds the same densities from their factors is the
-tests' independent oracle (tests/quadrature_oracles.py).
+the inverse law.  At nu = 1 the stable law is the point mass at 1, the unit
+of the product, so the mixed law at nu = 1 is the inverse law.  A law at
+time t is t^a X for the unit-time variate X of its kernel, so its contour
+density and its Mellin transform (`gg_mellin`, `compose_mellin`,
+`h_mellin`, `l_mellin`) both come from the pair (kernel, a).  The kernel
+constructors are memoized, so a contour evaluation reaches the contour
+cache without building a kernel.  The nested adaptive quadrature that builds
+the same densities from their factors, and the hand-written Gamma-product
+transforms, are the tests' independent oracles (tests/quadrature_oracles.py,
+tests/test_mellin.py).
 
 `tabulate_density` is the one tabulation loop, for every named density.
 
@@ -46,10 +52,9 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DomainError,
-    StripError,
     UnsupportedMethodError,
 )
-from .mellin import FoxH, MellinStrip, fox_h_eval, fox_power, fox_product
+from .mellin import FoxH, MellinStrip, fox_h_eval, fox_h_mellin, fox_power, fox_product
 from .specfun import bessel_k, gamma_fn, wright_w
 
 __all__ = [
@@ -183,6 +188,20 @@ def _check_xt(x: float, t: float):
         raise DomainError("x and t must be positive")
 
 
+# A law at time t is t^a X, with X the unit-time variate of its kernel k: its
+# density is k's H-function at x/t^a over t^a, and its transform k's kernel
+# times t^(a(eta-1)).  Every contour density and transform goes through these.
+
+
+def _law_density(k: FoxH, a: float, x: float, t: float) -> float:
+    scale = t**a
+    return fox_h_eval(k, x / scale) / scale
+
+
+def _law_mellin(k: FoxH, a: float, t: float, eta: float) -> float:
+    return fox_h_mellin(k, eta) * t ** (a * (eta - 1.0))
+
+
 def gg_density(law: GGLaw, x: float, t: float, tilde: bool = False) -> float:
     """Density |g| z^(g*mu - 1) exp(-z^g) / (t Gamma(mu)) at z = x/t.
 
@@ -201,19 +220,10 @@ def gg_density(law: GGLaw, x: float, t: float, tilde: bool = False) -> float:
 
 
 def gg_mellin(law: GGLaw, t: float, eta: float, tilde: bool = False) -> float:
-    """Mellin transform of the generalized gamma law:
-
-        Gamma((eta-1)/gamma + mu) / Gamma(mu) * t^s,
-
-    with s = eta-1 for the plain law and s = (eta-1)/gamma for the tilde
-    variant.  Requires (eta-1)/gamma + mu > 0.
-    """
-    g, mu = law.gamma, law.mu
-    arg = (eta - 1.0) / g + mu
-    if arg <= 0:
-        raise StripError(f"eta={eta} outside the transform strip of ({g}, {mu})")
-    s = (eta - 1.0) / g if tilde else eta - 1.0
-    return gamma_fn(arg) / gamma_fn(mu) * t**s
+    """Mellin transform of the generalized gamma law at time t: the kernel of
+    `gg_fox` times t^(eta-1), or t^((eta-1)/gamma) for the tilde variant.
+    Outside the strip (eta-1)/gamma + mu > 0 it raises StripError."""
+    return _law_mellin(gg_fox(law.gamma, law.mu), 1.0 / law.gamma if tilde else 1.0, t, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +306,13 @@ def compose_density(gamma: float, mu, x: float, t: float) -> float:
         return gg_density(GGLaw(gamma, mus[0]), x, t)
     if n == 2:
         return econv(gamma, mus[0], mus[1], x, t)
-    return fox_h_eval(compose_fox(gamma, mus), x / t) / t
+    return _law_density(compose_fox(gamma, mus), 1.0, x, t)
 
 
 def compose_mellin(gamma: float, mu, t: float, eta: float) -> float:
-    """Mellin transform of the n-fold composition:
-    t^(eta-1) prod_j Gamma((eta-1)/gamma + mu_j) / Gamma(mu_j)."""
-    mus = mu.as_floats() if isinstance(mu, MuVector) else np.asarray(mu, dtype=float)
-    out = t ** (eta - 1.0)
-    for m in mus:
-        arg = (eta - 1.0) / gamma + m
-        if arg <= 0:
-            raise StripError(f"eta={eta} outside the composition strip")
-        out *= gamma_fn(arg) / gamma_fn(m)
-    return out
+    """Mellin transform of the n-fold composition at time t: the kernel of
+    `compose_fox` times t^(eta-1)."""
+    return _law_mellin(compose_fox(gamma, mu), 1.0, t, eta)
 
 
 def compose_invariance_gap(mu1: MuVector, mu2: MuVector, xs, ts, gamma: float = 1.0) -> float:
@@ -368,7 +371,12 @@ def resolve_method(law: str, nu: float, method: str = "auto") -> str:
 @lru_cache(maxsize=256)
 def h_fox(nu: float) -> FoxH:
     """H-function object whose evaluation is the one-sided stable density at
-    unit time; kernel Gamma((1-eta)/nu) / (nu Gamma(1-eta)) on (-inf, 1)."""
+    unit time; kernel Gamma((1-eta)/nu) / (nu Gamma(1-eta)) on (-inf, 1).
+    At nu = 1 the law is the point mass at 1, which has no density: its
+    kernel is 1 on the whole line, the unit of `fox_product`, so that a
+    product law closes its nu = 1 end without a branch of its own."""
+    if nu == 1.0:
+        return FoxH((), (), MellinStrip(-math.inf, math.inf))
     return FoxH(((1.0 / nu, -1.0 / nu),), ((1.0, -1.0),), MellinStrip(-math.inf, 1.0), 1.0 / nu)
 
 
@@ -404,16 +412,14 @@ def h_density(nu: float, x: float, t: float, method: str = "auto") -> float:
         mus = [(j + 1) * nu for j in range(n)]
         return compose_density(-1.0, mus, x, TimeStretch(n + 1).phi(t))
     if method == "foxh":
-        scale = t ** (1.0 / nu)
-        return fox_h_eval(h_fox(nu), x / scale) / scale
+        return _law_density(h_fox(nu), 1.0 / nu, x, t)
     raise UnsupportedMethodError(f"unknown method {method!r} for h_density")
 
 
 def h_mellin(nu: float, t: float, eta: float) -> float:
-    """Mellin transform Gamma((1-eta)/nu) t^((eta-1)/nu) / (nu Gamma(1-eta))."""
-    if eta >= 1.0:
-        raise StripError("transform valid for eta < 1")
-    return gamma_fn((1.0 - eta) / nu) * t ** ((eta - 1.0) / nu) / (nu * gamma_fn(1.0 - eta))
+    """Mellin transform of the stable law at time t: the kernel of `h_fox`
+    times t^((eta-1)/nu), for eta < 1."""
+    return _law_mellin(h_fox(nu), 1.0 / nu, t, eta)
 
 
 def l_density(nu: float, x: float, t: float, method: str = "auto") -> float:
@@ -442,16 +448,14 @@ def l_density(nu: float, x: float, t: float, method: str = "auto") -> float:
     if method == "wright":
         return t**-nu * wright_w(-nu, 1.0 - nu, -x * t**-nu)
     if method == "foxh":
-        scale = t**nu
-        return fox_h_eval(l_fox(nu), x / scale) / scale
+        return _law_density(l_fox(nu), nu, x, t)
     raise UnsupportedMethodError(f"unknown method {method!r} for l_density")
 
 
 def l_mellin(nu: float, t: float, eta: float) -> float:
-    """Mellin transform Gamma(eta) t^(nu(eta-1)) / Gamma(eta nu - nu + 1)."""
-    if eta <= 0.0:
-        raise StripError("transform valid for eta > 0")
-    return gamma_fn(eta) * t ** (nu * (eta - 1.0)) / gamma_fn(eta * nu - nu + 1.0)
+    """Mellin transform of the inverse law at time t: the kernel of `l_fox`
+    times t^(nu(eta-1)), for eta > 0."""
+    return _law_mellin(l_fox(nu), nu, t, eta)
 
 
 def ratio_density(nu: float, x: float) -> float:
@@ -476,7 +480,8 @@ def ratio_density(nu: float, x: float) -> float:
 @lru_cache(maxsize=256)
 def f_nu_beta_fox(nu: float, beta: float) -> FoxH:
     """H-function object of the mixed law at unit time: the nu-stable law
-    times the 1/nu-th power of the beta-inverse law."""
+    times the 1/nu-th power of the beta-inverse law.  At nu = 1 it is
+    `l_fox(beta)`."""
     return fox_product(h_fox(nu), fox_power(l_fox(beta), 1.0 / nu))
 
 
@@ -501,8 +506,7 @@ def f_nu_beta(nu: float, beta: float, x: float, t: float) -> float:
         return h_density(nu, x, t) if x > 0 else 0.0
     if x == 0.0:
         raise DomainError("f_nu_beta is unbounded at x = 0 for nu, beta < 1: it grows like x^(nu-1)")
-    scale = t ** (beta / nu)
-    return fox_h_eval(f_nu_beta_fox(nu, beta), x / scale) / scale
+    return _law_density(f_nu_beta_fox(nu, beta), beta / nu, x, t)
 
 
 def index_set(kind: str, n: int, kappa: int, target: int) -> list:

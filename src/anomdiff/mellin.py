@@ -5,7 +5,9 @@ convolution, and H-functions defined through a ratio of Gamma products:
 the transform kernel is evaluated directly and the function itself is
 recovered by quadrature along a vertical contour inside the fundamental
 strip.  Kernels of products and powers of variates are formed from their
-factors' kernels (`fox_product`, `fox_power`).  `quad` is the one
+factors' kernels (`fox_product`, `fox_power`).  The contour samples of a
+kernel are memoized on (kernel, abscissa, panel), so an evaluation on a
+known contour costs one short phase sum.  `quad` is the one
 adaptive-quadrature helper of the library: it checks every error estimate.
 """
 
@@ -13,8 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,69 +185,57 @@ def _panel_length(lx: float) -> float:
     return 2.0 ** math.floor(math.log2(raw))
 
 
-def _contour_samples(kernel, abscissa: float, panel: float, tol: float,
-                     max_height: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panel starts t0_p, node offsets h_j and weighted kernel values
-    W_pj = w_j K(c + i (t0_p + h_j)), the offsets and weights the same on
-    every panel.
+_CONTOUR_TOL = 1e-13  # the line ends where |K| falls below this, relative to |K(c)|
+_MAX_HEIGHT = 800.0  # a line that has not decayed by this height raises
 
-    The line is extended panel by panel until |K| drops below tol relative to
-    |K(c)|; one kernel call per panel takes its nodes and its upper end.  The
-    samples depend only on (kernel, abscissa, panel) and serve any argument x
-    afterwards.
+
+@lru_cache(maxsize=256)
+def _contour_samples(h: FoxH, abscissa: float, panel: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panel starts t0_p, node offsets h_j and weighted kernel values
+    W_pj = w_j K(c + i (t0_p + h_j)) of the kernel of `h`, the offsets and
+    weights the same on every panel.
+
+    The line is extended panel by panel until |K| drops below _CONTOUR_TOL
+    relative to |K(c)|; one kernel call per panel takes its nodes and its
+    upper end.  The samples depend only on (h, abscissa, panel) and serve any
+    argument x afterwards, so they are memoized on that key (an LRU of 256
+    contours; `cache_info()` counts its hits and misses).
     """
-    scale = abs(complex(np.asarray(kernel(complex(abscissa, 0.0))).ravel()[0]))
+    scale = abs(complex(np.asarray(h.kernel(complex(abscissa, 0.0))).ravel()[0]))
     if not math.isfinite(scale) or scale == 0.0:
         scale = 1.0
     offsets = 0.5 * panel * (_GL_NODES + 1.0)
     weights = 0.5 * panel * _GL_WEIGHTS
     rows = []
     t0 = 0.0
-    while t0 < max_height:
-        vals = np.asarray(kernel(abscissa + 1j * np.append(t0 + offsets, t0 + panel)))
+    while t0 < _MAX_HEIGHT:
+        vals = np.asarray(h.kernel(abscissa + 1j * np.append(t0 + offsets, t0 + panel)))
         rows.append(weights * vals[:-1])
         t0 += panel
-        if abs(vals[-1]) < tol * scale:
+        if abs(vals[-1]) < _CONTOUR_TOL * scale:
             return panel * np.arange(len(rows)), offsets, np.array(rows)
-    raise ConvergenceError("Mellin inversion contour did not decay within max_height")
+    raise ConvergenceError("Mellin inversion contour did not decay within its maximum height")
 
 
-_CONTOUR_CACHE: OrderedDict = OrderedDict()  # least recently used first
-_CONTOUR_CACHE_SIZE = 256
+def mellin_inverse(h: FoxH, x: float, abscissa: float) -> float:
+    """(1/2 pi i) int K(eta) x^(-eta) d eta along Re(eta) = abscissa, for the
+    kernel K of `h`.
 
-
-def mellin_inverse(kernel, x: float, abscissa: float, *, tol: float = 1e-13,
-                   max_height: float = 800.0, cache_key=None) -> float:
-    """(1/2 pi i) int kernel(eta) x^(-eta) d eta along Re(eta) = abscissa.
-
-    The kernel must satisfy kernel(conj(eta)) = conj(kernel(eta)) so the
-    integral is real, and must decay along the vertical line; exceeding
-    `max_height` before decaying raises ConvergenceError.  Every node is a
-    panel start plus one of the shared offsets, so the phase x^(-i s) splits:
+    The kernel satisfies K(conj(eta)) = conj(K(eta)), so the integral is
+    real, and must decay along the vertical line; not decaying by the
+    maximum height raises ConvergenceError.  Every node is a panel start plus
+    one of the shared offsets, so the phase x^(-i s) splits:
     sum_pj e^(-i lx (t0_p + h_j)) W_pj = e^(-i lx t0) . (W e^(-i lx h)).
     """
     if not x > 0:
         raise DomainError("x must be positive")
     lx = math.log(x)
-    panel = _panel_length(lx)
-    if cache_key is not None:
-        key = (cache_key, abscissa, panel, tol)
-        entry = _CONTOUR_CACHE.get(key)
-        if entry is None:
-            entry = _contour_samples(kernel, abscissa, panel, tol, max_height)
-            if len(_CONTOUR_CACHE) >= _CONTOUR_CACHE_SIZE:
-                _CONTOUR_CACHE.popitem(last=False)
-            _CONTOUR_CACHE[key] = entry
-        else:
-            _CONTOUR_CACHE.move_to_end(key)
-    else:
-        entry = _contour_samples(kernel, abscissa, panel, tol, max_height)
-    t0, h, w = entry
-    acc = float(np.real(np.exp(-1j * lx * t0) @ (w @ np.exp(-1j * lx * h))))
+    t0, offsets, w = _contour_samples(h, abscissa, _panel_length(lx))
+    acc = float(np.real(np.exp(-1j * lx * t0) @ (w @ np.exp(-1j * lx * offsets))))
     return (x**-abscissa) / math.pi * acc
 
 
-def fox_h_eval(h: FoxH, x: float, *, abscissa: float | None = None, tol: float = 1e-13) -> float:
+def fox_h_eval(h: FoxH, x: float, *, abscissa: float | None = None) -> float:
     """Evaluate the H-function at x > 0 by contour integration of its kernel."""
     c = h.strip.default_abscissa() if abscissa is None else float(abscissa)
     if not h.strip.contains(c):
@@ -253,7 +243,7 @@ def fox_h_eval(h: FoxH, x: float, *, abscissa: float | None = None, tol: float =
     for eta in h._poles:
         if math.isfinite(eta) and abs(eta - c) < 1e-8:
             raise PoleError(f"contour abscissa {c} sits on a kernel pole")
-    return mellin_inverse(h.kernel, x, c, tol=tol, cache_key=h)
+    return mellin_inverse(h, x, c)
 
 
 def quad(fn, a: float, b: float, *, log: bool = False, vector: bool = False,

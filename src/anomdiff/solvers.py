@@ -4,7 +4,8 @@ The subordination solution on the half-line (an H-function; its
 subordination integral is the tests' quadrature oracle), the Bessel
 eigenfunction series on the unit interval, the fractional power of the
 adjoint generator, the mixed space-fractional density with its two
-evaluation routes, and residual checks of the governing Mellin/Laplace
+evaluation routes and its Mellin transform (both read from the kernel of
+`space_fractional_fox`), and residual checks of the governing Mellin/Laplace
 identities.
 """
 
@@ -20,6 +21,8 @@ from .errors import DomainError, StripError, UnsupportedMethodError
 from .frac_calc import GridFunction, rl_right
 from .laws import (
     GGLaw,
+    _law_density,
+    _law_mellin,
     f_nu_beta,
     f_nu_beta_fox,
     gg_density,
@@ -29,7 +32,7 @@ from .laws import (
     l_fox,
     ratio_density,
 )
-from .mellin import FoxH, fox_h_eval, fox_power, fox_product, quad
+from .mellin import FoxH, fox_power, fox_product, quad
 from .specfun import MLParams, bessel_j, bessel_j_zeros, gamma_fn, mittag_leffler, sp
 
 __all__ = [
@@ -212,8 +215,7 @@ def time_fractional_solution(gamma: float, mu: float, nu: float, x: float, t: fl
         return gg_density(law, x, t, tilde=True)
     if not (x > 0 and t > 0):
         raise DomainError("x and t must be positive")
-    scale = t ** (nu / gamma)
-    return fox_h_eval(time_fractional_fox(gamma, mu, nu), x / scale) / scale
+    return _law_density(time_fractional_fox(gamma, mu, nu), nu / gamma, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +371,11 @@ def space_fractional_fox(mu: float, nu: float, beta: float) -> FoxH:
 
 
 def space_fractional_mellin(mu: float, nu: float, beta: float, eta: float, t: float) -> float:
-    """Mellin transform of the mixed law:
-
-        G(eta+mu-1)/G(mu) * G((1-eta)/nu)/(nu G(1-eta))
-          * G((eta-1)/nu + 1)/G(beta (eta-1)/nu + 1) * t^(beta (eta-1)/nu).
-
-    Ratios that cancel identically at nu = 1 or beta = 1 are simplified before
-    evaluation; remaining gamma poles raise PoleError.
-    """
-    out = gamma_fn(eta + mu - 1.0) / gamma_fn(mu)
-    if nu != 1.0:
-        out *= gamma_fn((1.0 - eta) / nu) / (nu * gamma_fn(1.0 - eta))
-    if beta != 1.0 or nu != 1.0:
-        num = (eta - 1.0) / nu + 1.0
-        den = beta * (eta - 1.0) / nu + 1.0
-        if abs(num - den) > 1e-15:
-            out *= gamma_fn(num) / gamma_fn(den)
-    return out * t ** (beta * (eta - 1.0) / nu)
+    """Mellin transform of the mixed law at time t: the kernel of
+    `space_fractional_fox` times t^(beta (eta-1)/nu).  Outside the kernel's
+    strip, (max(1-mu, 1-nu), 1) for nu < 1 and (max(1-mu, 0), inf) at
+    nu = 1, it raises StripError."""
+    return _law_mellin(space_fractional_fox(mu, nu, beta), beta / nu, t, eta)
 
 
 def space_fractional_density(
@@ -395,7 +385,8 @@ def space_fractional_density(
     solving the space-fractional evolution problem.
 
     Routes: 'double_integral' (quadrature of the gamma law against the mixed
-    time density) and 'foxh' (self-similar profile via the H-function object).
+    time density, `f_nu_beta`, or the ratio law at nu = beta) and 'foxh'
+    (self-similar profile via the H-function object, at every nu and beta).
     """
     if route not in ("double_integral", "foxh"):
         raise UnsupportedMethodError(f"unknown route {route!r}")
@@ -412,26 +403,13 @@ def space_fractional_density(
             def mix(s):
                 return ratio_density(nu, s / t) / t
 
-        elif beta == 1.0:
-
-            def mix(s):
-                return h_density(nu, s, t)
-
-        elif nu == 1.0:
-
-            def mix(s):
-                return l_density(beta, s, t)
-
         else:
 
             def mix(s):
                 return f_nu_beta(nu, beta, s, t)
 
         return quad(lambda s: gg_density(law, x, s) * mix(s), -45.0, 45.0, log=True, epsrel=1e-8)
-    if nu == 1.0:
-        raise UnsupportedMethodError("the foxh route needs nu < 1; use double_integral")
-    scale = t ** (beta / nu)
-    return fox_h_eval(space_fractional_fox(mu, nu, beta), x / scale) / scale
+    return _law_density(space_fractional_fox(mu, nu, beta), beta / nu, x, t)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy import special as sp
 from scipy.integrate import IntegrationWarning
 from scipy.special import kv
 
@@ -14,11 +13,13 @@ from anomdiff.errors import ConvergenceError, DomainError, PoleError, StripError
 from anomdiff import mellin
 from anomdiff.frac_calc import GridFunction, rl_left
 from anomdiff.laws import (
+    GGLaw,
     MuVector,
     compose_fox,
     compose_mellin,
     f_nu_beta_fox,
     gg_fox,
+    gg_mellin,
     h_density,
     h_fox,
     h_mellin,
@@ -213,19 +214,27 @@ class TestFoxH:
         assert math.isfinite(fox_h_eval(f_nu_beta_fox(0.9, 0.5), 1.0))
         assert math.isfinite(fox_h_eval(compose_fox(-1.0, [k / 6 for k in range(1, 6)]), 1.0))
 
-    def test_contour_cache_evicts_least_recently_used(self, monkeypatch):
-        monkeypatch.setattr(mellin, "_CONTOUR_CACHE", type(mellin._CONTOUR_CACHE)())
-        cache, size = mellin._CONTOUR_CACHE, mellin._CONTOUR_CACHE_SIZE
-        kernel = sp.gamma  # inverts to exp(-x)
-        for key in range(size):
-            assert mellin_inverse(kernel, 1.0, 1.0, cache_key=key) == pytest.approx(
-                math.exp(-1.0), rel=1e-12
-            )
-        mellin_inverse(kernel, 1.0, 1.0, cache_key=0)  # 0 becomes the most recent
-        mellin_inverse(kernel, 1.0, 1.0, cache_key=size)
-        assert len(cache) == size
-        keys = {k[0] for k in cache}
-        assert 0 in keys and size in keys and 1 not in keys
+    def test_contour_cache_evicts_least_recently_used(self):
+        samples = mellin._contour_samples
+        samples.cache_clear()
+        size = samples.cache_info().maxsize
+
+        def key(k):
+            # kernel Gamma(eta), which inverts to exp(-x), on the k-th of
+            # distinct strips that all hold the abscissa 1
+            return FoxH(((0.0, 1.0),), (), MellinStrip(0.0, 2.0 + k))
+
+        def hit(k):
+            hits = samples.cache_info().hits
+            mellin_inverse(key(k), 1.0, 1.0)
+            return samples.cache_info().hits > hits
+
+        for k in range(size):
+            assert mellin_inverse(key(k), 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        mellin_inverse(key(0), 1.0, 1.0)  # 0 becomes the most recent
+        mellin_inverse(key(size), 1.0, 1.0)
+        assert samples.cache_info().currsize == size
+        assert hit(0) and hit(size) and not hit(1)
 
     def test_pole_tolerance_is_relative(self):
         # a Gamma argument within 1e-9 max(1, |x|) of 0, -1, -2, ... is a pole
@@ -251,6 +260,11 @@ class TestFoxH:
         assert a != space_fractional_fox(1.5, 0.7, 0.9)
 
 
+# Hand-written Gamma-product transforms of the laws at time t.  The library
+# derives each transform from its law's kernel, so these formulas are the
+# independent oracles of the kernels and of the public transforms.
+
+
 def _time_fractional_mellin(gamma, mu, nu):
     # the product formula of time_fractional_fox, s = (eta - 1)/gamma
     def f(eta):
@@ -260,18 +274,54 @@ def _time_fractional_mellin(gamma, mu, nu):
     return f
 
 
+def _gg_mellin(gamma, mu, t, eta, tilde=False):
+    # Gamma((eta-1)/gamma + mu) / Gamma(mu) t^s, s = eta - 1, or (eta-1)/gamma for tilde
+    s = (eta - 1.0) / gamma if tilde else eta - 1.0
+    return gamma_fn((eta - 1.0) / gamma + mu) / gamma_fn(mu) * t**s
+
+
+def _compose_mellin(gamma, mus, t, eta):
+    # t^(eta-1) prod_j Gamma((eta-1)/gamma + mu_j) / Gamma(mu_j)
+    out = t ** (eta - 1.0)
+    for m in mus:
+        out *= gamma_fn((eta - 1.0) / gamma + m) / gamma_fn(m)
+    return out
+
+
+def _h_mellin(nu, t, eta):
+    return gamma_fn((1.0 - eta) / nu) * t ** ((eta - 1.0) / nu) / (nu * gamma_fn(1.0 - eta))
+
+
+def _l_mellin(nu, t, eta):
+    return gamma_fn(eta) * t ** (nu * (eta - 1.0)) / gamma_fn(eta * nu - nu + 1.0)
+
+
+def _space_fractional_mellin(mu, nu, beta, eta, t):
+    # G(eta+mu-1)/G(mu) * G((1-eta)/nu)/(nu G(1-eta))
+    #   * G((eta-1)/nu + 1)/G(beta (eta-1)/nu + 1) * t^(beta (eta-1)/nu),
+    # with the stable ratio, which is 1 at nu = 1, left out there
+    out = gamma_fn(eta + mu - 1.0) / gamma_fn(mu)
+    if nu != 1.0:
+        out *= gamma_fn((1.0 - eta) / nu) / (nu * gamma_fn(1.0 - eta))
+    out *= gamma_fn((eta - 1.0) / nu + 1.0) / gamma_fn(beta * (eta - 1.0) / nu + 1.0)
+    return out * t ** (beta * (eta - 1.0) / nu)
+
+
 # each library constructor against its hand-written transform, at three eta
 # inside its strip; together they hold numerator and denominator factors
 # with slopes of both signs, and constant factors
 _FACTOR_CASES = {
-    "h": (h_fox(0.6), lambda e: h_mellin(0.6, 1.0, e), (-1.5, 0.2, 0.8)),
-    "l": (l_fox(0.4), lambda e: l_mellin(0.4, 1.0, e), (0.3, 1.0, 2.5)),
+    "gg": (gg_fox(-2.0, 1.3), lambda e: _gg_mellin(-2.0, 1.3, 1.0, e), (-1.0, 1.0, 2.5)),
+    "h": (h_fox(0.6), lambda e: _h_mellin(0.6, 1.0, e), (-1.5, 0.2, 0.8)),
+    "l": (l_fox(0.4), lambda e: _l_mellin(0.4, 1.0, e), (0.3, 1.0, 2.5)),
     "compose+": (compose_fox(1.0, [0.5, 1.2, 2.0]),
-                 lambda e: compose_mellin(1.0, [0.5, 1.2, 2.0], 1.0, e), (0.6, 1.3, 3.0)),
+                 lambda e: _compose_mellin(1.0, [0.5, 1.2, 2.0], 1.0, e), (0.6, 1.3, 3.0)),
     "compose-": (compose_fox(-1.0, [0.5, 1.2, 2.0]),
-                 lambda e: compose_mellin(-1.0, [0.5, 1.2, 2.0], 1.0, e), (-1.0, 0.5, 1.4)),
+                 lambda e: _compose_mellin(-1.0, [0.5, 1.2, 2.0], 1.0, e), (-1.0, 0.5, 1.4)),
     "space": (space_fractional_fox(1.5, 0.7, 0.8),
-              lambda e: space_fractional_mellin(1.5, 0.7, 0.8, e, 1.0), (0.35, 0.6, 0.9)),
+              lambda e: _space_fractional_mellin(1.5, 0.7, 0.8, e, 1.0), (0.35, 0.6, 0.9)),
+    "space nu=1": (space_fractional_fox(1.5, 1.0, 0.8),
+                   lambda e: _space_fractional_mellin(1.5, 1.0, 0.8, e, 1.0), (0.35, 1.0, 2.5)),
     "time+": (time_fractional_fox(2.0, 1.3, 0.6), _time_fractional_mellin(2.0, 1.3, 0.6),
               (-0.5, 1.0, 3.0)),
     "time-": (time_fractional_fox(-2.0, 1.3, 0.6), _time_fractional_mellin(-2.0, 1.3, 0.6),
@@ -284,6 +334,40 @@ def test_factor_mapping_matches_hand_written_transforms(case):
     h, want, etas = _FACTOR_CASES[case]
     for eta in etas:
         assert fox_h_mellin(h, eta) == pytest.approx(want(eta), rel=1e-13, abs=0.0)
+
+
+# each public transform at t = 1.7 against its hand-written formula: the
+# kernel of the law times the time scaling t^(a(eta-1))
+_TRANSFORM_CASES = {
+    "gg": (lambda e, t: gg_mellin(GGLaw(-2.0, 1.3), t, e), lambda e, t: _gg_mellin(-2.0, 1.3, t, e),
+           (-1.0, 1.0, 2.5)),
+    "gg tilde": (lambda e, t: gg_mellin(GGLaw(2.0, 1.3), t, e, tilde=True),
+                 lambda e, t: _gg_mellin(2.0, 1.3, t, e, tilde=True), (-0.5, 1.0, 3.0)),
+    "h": (lambda e, t: h_mellin(0.6, t, e), lambda e, t: _h_mellin(0.6, t, e), (-1.5, 0.2, 0.8)),
+    "l": (lambda e, t: l_mellin(0.4, t, e), lambda e, t: _l_mellin(0.4, t, e), (0.3, 1.0, 2.5)),
+    "compose": (lambda e, t: compose_mellin(-1.0, MuVector.parse("1/2,6/5,2"), t, e),
+                lambda e, t: _compose_mellin(-1.0, [0.5, 1.2, 2.0], t, e), (-1.0, 0.5, 1.4)),
+    "space": (lambda e, t: space_fractional_mellin(1.5, 0.7, 0.8, e, t),
+              lambda e, t: _space_fractional_mellin(1.5, 0.7, 0.8, e, t), (0.35, 0.6, 0.9)),
+    "space nu=1": (lambda e, t: space_fractional_mellin(1.5, 1.0, 0.8, e, t),
+                   lambda e, t: _space_fractional_mellin(1.5, 1.0, 0.8, e, t), (0.35, 1.0, 2.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(_TRANSFORM_CASES))
+def test_transforms_match_hand_written_formulas(case):
+    got, want, etas = _TRANSFORM_CASES[case]
+    for eta in etas:
+        assert got(eta, 1.7) == pytest.approx(want(eta, 1.7), rel=1e-13, abs=0.0)
+
+
+def test_transforms_raise_outside_the_kernel_strip():
+    with pytest.raises(StripError):
+        h_mellin(0.6, 1.0, 1.0)
+    with pytest.raises(StripError):
+        l_mellin(0.4, 1.0, 0.0)
+    with pytest.raises(StripError):
+        compose_mellin(1.0, [0.5, 1.2], 1.0, 0.4)
 
 
 def _same_kernel(a, b, tol=1e-15):
@@ -383,7 +467,7 @@ class TestQuad:
         assert offenders == []
 
 
-def _per_panel_samples(kernel, abscissa, panel, tol, max_height=800.0):
+def _per_panel_samples(kernel, abscissa, panel, tol=mellin._CONTOUR_TOL, max_height=mellin._MAX_HEIGHT):
     # two kernel calls per panel, each panel's nodes concatenated: the sampling
     # the merged-panel rule of mellin._contour_samples must reproduce bit for bit
     scale = abs(complex(np.asarray(kernel(complex(abscissa, 0.0))).ravel()[0]))
@@ -418,8 +502,8 @@ class TestContourSum:
     def test_merged_panels_equal_per_panel_sampling(self, panel):
         for k in _ROUTE_KERNELS:
             c = k.strip.default_abscissa()
-            t0, h, w = mellin._contour_samples(k.kernel, c, panel, 1e-13, 800.0)
-            s, wk = _per_panel_samples(k.kernel, c, panel, 1e-13)
+            t0, h, w = mellin._contour_samples(k, c, panel)
+            s, wk = _per_panel_samples(k.kernel, c, panel)
             assert np.array_equal(t0, panel * np.arange(len(t0)))
             assert np.array_equal((t0[:, None] + h).ravel(), s)
             assert np.array_equal(w.ravel(), wk)
@@ -432,7 +516,7 @@ class TestContourSum:
         c = kernel.strip.default_abscissa()
         for x in (1e-3, 0.5, 1.0, 30.0, 1e3):
             lx = math.log(x)
-            t0, h, w = mellin._contour_samples(kernel.kernel, c, mellin._panel_length(lx), 1e-13, 800.0)
+            t0, h, w = mellin._contour_samples(kernel, c, mellin._panel_length(lx))
             want = float(np.real(np.exp(-1j * (t0[:, None] + h).ravel() * lx) @ w.ravel()))
             got = fox_h_eval(kernel, x) * math.pi * x**c
             assert abs(got - want) <= 1e-14 * np.abs(w).sum()

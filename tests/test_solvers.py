@@ -5,9 +5,9 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from anomdiff.errors import DomainError, PoleError, StripError, UnsupportedMethodError
+from anomdiff.errors import DomainError, StripError, UnsupportedMethodError
 from anomdiff.frac_calc import GridFunction
-from anomdiff.laws import GGLaw, gg_density
+from anomdiff.laws import GGLaw, f_nu_beta_fox, gg_density, l_fox
 from anomdiff.mellin import mellin_numeric
 from anomdiff.solvers import (
     BVPSpec,
@@ -254,8 +254,7 @@ class TestSpaceFractional:
 
     @pytest.mark.parametrize("nu,beta", [(1.0, 0.5), (1.0, 1.0), (0.5, 0.5)])
     def test_unknown_route_is_named(self, nu, beta):
-        # the name is checked before the nu = 1 guard of foxh and before the
-        # degenerate return at nu = beta = 1
+        # the name is checked before the degenerate return at nu = beta = 1
         with pytest.raises(UnsupportedMethodError, match="unknown route 'bogus'"):
             space_fractional_density(1.0, nu, beta, 1.0, 1.0, "bogus")
 
@@ -295,9 +294,31 @@ class TestSpaceFractional:
 
     def test_transform_pole(self):
         # order-nu moment of the nu-stable factor diverges: eta = 1 + nu is a
-        # genuine pole of the transform
-        with pytest.raises(PoleError):
+        # genuine pole of the transform.  The transform comes from the kernel,
+        # whose strip (0.5, 1) ends below it (the stable kernel keeps its
+        # (-inf, 1) strip), so the strip check answers first
+        with pytest.raises(StripError):
             space_fractional_mellin(1.0, 0.5, 0.5, 1.5, 1.0)
+        with pytest.raises(StripError):
+            space_fractional_mellin(1.0, 0.5, 0.5, 1.2, 1.0)
+
+    @pytest.mark.parametrize("beta", [1 / 2, 1 / 3, 1 / 4])
+    def test_contour_at_nu_one_matches_double_integral(self, beta):
+        # at nu = 1 the stable factor is the point mass at 1, so the mixed
+        # kernel is the inverse law's; the quadrature runs l_density on its
+        # closed and conv routes, which share no kernel with l_fox
+        assert f_nu_beta_fox(1.0, beta) == l_fox(beta)
+        for x in (0.6, 1.0, 1.7):
+            for t in (0.7, 1.3):
+                want = space_fractional_density(1.5, 1.0, beta, x, t, "double_integral")
+                assert space_fractional_density(1.5, 1.0, beta, x, t, "foxh") == pytest.approx(want, rel=1e-12)
+
+    def test_contour_at_nu_one_is_finite_and_positive(self):
+        # the double_integral route raises here (Wright series overflow in l_density)
+        for x in (0.6, 1.0, 1.7):
+            for t in (0.7, 1.0, 1.3):
+                got = space_fractional_density(1.5, 1.0, 0.8, x, t, "foxh")
+                assert math.isfinite(got) and got > 0.0
 
     def test_moment_slope_from_transform(self):
         ts = np.array([0.5, 1.0, 2.0, 4.0])
