@@ -45,6 +45,7 @@ from .mellin import (
     MellinStrip,
     fox_h_eval,
     fox_h_mellin,
+    fox_h_series,
     fox_power,
     fox_product,
     mellin_convolve,

@@ -7,8 +7,10 @@ recovered by quadrature along a vertical contour inside the fundamental
 strip.  Kernels of products and powers of variates are formed from their
 factors' kernels (`fox_product`, `fox_power`).  The contour samples of a
 kernel are memoized on (kernel, abscissa, panel), so an evaluation on a
-known contour costs one short phase sum.  `quad` is the one
-adaptive-quadrature helper of the library: it checks every error estimate.
+known contour costs one short phase sum.  `fox_h_series` sums a kernel's
+residues instead, left or right of the contour, from coefficients memoized
+on (kernel, side).  `quad` is the one adaptive-quadrature helper of the
+library: it checks every error estimate.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError, StripError
-from .specfun import _is_nonpositive_integer, sp
+from .errors import ConvergenceError, DomainError, PoleError, StripError, UnsupportedMethodError
+from .specfun import _EPS, _is_nonpositive_integer, sp
 
 __all__ = [
     "MellinStrip",
@@ -32,6 +34,7 @@ __all__ = [
     "fox_power",
     "fox_h_mellin",
     "fox_h_eval",
+    "fox_h_series",
     "mellin_inverse",
 ]
 
@@ -244,6 +247,112 @@ def fox_h_eval(h: FoxH, x: float, *, abscissa: float | None = None) -> float:
         if math.isfinite(eta) and abs(eta - c) < 1e-8:
             raise PoleError(f"contour abscissa {c} sits on a kernel pole")
     return mellin_inverse(h, x, c)
+
+
+_TERMS = 2000  # residues a series may sum
+_BLOCK = 64  # terms whose magnitudes one exp call computes
+
+
+def _is_pole(y):
+    # elementwise and exact, unlike the scalar `_is_nonpositive_integer`: 1/G(y)
+    # vanishes only at these points, and is a tiny non-zero term next to them
+    return (y <= 0.0) & (y == np.round(y))
+
+
+@lru_cache(maxsize=64)
+def _residue_terms(h: FoxH, side: str):
+    """The parts of `fox_h_series` that do not depend on x: log|a_k|, eta_k,
+    the signs of the terms at x > 0 and at x < 0 (None unless every eta_k is
+    an integer), and, for an asymptotic series, the log envelope of |a_k|,
+    each 1/|G(y)| bounded by G(1 - y)/pi (None for a convergent series)."""
+    if side not in ("left", "right"):
+        raise DomainError(f"side must be 'left' or 'right', not {side!r}")
+    on_side = [(c, d) for c, d in h.num if d != 0.0 and (d > 0.0) == (side == "left")]
+    if len(on_side) != 1:
+        raise UnsupportedMethodError(
+            f"a {side} residue series needs one pole-carrying numerator factor; the kernel has {len(on_side)}"
+        )
+    delta = sum(d for _, d in h.num) - sum(d for _, d in h.den)
+    if abs(delta) <= 1e-12 * sum(abs(d) for _, d in h.num + h.den):
+        raise DomainError("the kernel's slopes cancel, so its residue series has a finite radius")
+    (c, d), rest = on_side[0], list(h.num)
+    rest.remove((c, d))
+    k = np.arange(_TERMS, dtype=float)
+    eta = -(c + k) / d
+    log_a = math.log(abs(h.prefactor / d)) - sp.gammaln(k + 1.0)
+    sign = math.copysign(1.0, h.prefactor) * (-1.0) ** k
+    for cj, dj in rest:
+        y = cj + dj * eta
+        if np.any(_is_pole(y)):
+            raise UnsupportedMethodError("two numerator factors share a pole, so a residue is not simple")
+        log_a = log_a + sp.gammaln(y)
+        sign = sign * sp.gammasgn(y)
+    log_env = log_a
+    for cj, dj in h.den:
+        y = cj + dj * eta
+        log_a = log_a - sp.gammaln(y)  # -inf at a pole of G(y), where 1/G(y) vanishes
+        sign = np.where(_is_pole(y), 0.0, sign * sp.gammasgn(y))
+        log_env = log_env + np.where(y < 1.0, sp.gammaln(1.0 - y) - math.log(math.pi), np.inf)
+    sign_neg = sign * (-1.0) ** eta if np.all(eta == np.round(eta)) else None
+    converges = (delta > 0.0) == (side == "left")
+    return log_a, eta, sign, sign_neg, None if converges else log_env
+
+
+def fox_h_series(h: FoxH, x: float, side: str) -> tuple[float, float]:
+    """The H-function of `h` at real x != 0, and its error, as the residue
+    series at the poles eta_k of the one numerator factor G(c + d eta) with
+    d > 0 ("left") or d < 0 ("right"): the term k is (-1)^k / (k! |d|) times
+    the rest of the kernel at eta_k times x^(-eta_k); x < 0 needs integer
+    poles.  With Delta = sum of d over `num` minus sum over `den`, the left
+    series converges for Delta > 0 and the right one for Delta < 0.
+
+    A convergent series stops once two terms past its peak are at most
+    1e-16 of the sum; a term past 1e304 raises ConvergenceError, and so does
+    a round-off floor eps * peak (the error returned) above 1e-6 |sum|.  An
+    asymptotic series stops at the smallest term of its envelope, which is
+    the error returned.  The coefficients are memoized per (kernel, side).
+    """
+    log_a, eta, sign, sign_neg, log_env = _residue_terms(h, side)
+    if x == 0.0 or (x < 0.0 and sign_neg is None):
+        raise DomainError(f"x={x}: a residue series needs x != 0, and integer poles for x < 0")
+    if x < 0.0:
+        sign = sign_neg
+    lx = math.log(abs(x))
+    acc = peak = 0.0
+    err = math.inf
+    falling = False
+    small = 0
+    for start in range(0, _TERMS, _BLOCK):
+        part = slice(start, start + _BLOCK)
+        shift = eta[part] * lx
+        # clipped so that exp cannot overflow; a convergent sum raises at such a term
+        mags = np.exp(np.minimum(log_a[part] - shift, 701.0))
+        if log_env is None:
+            for mag, s in zip(mags.tolist(), sign[part].tolist()):
+                if mag > 1e304:
+                    raise ConvergenceError("power series overflow")
+                acc += s * mag
+                if mag > peak:
+                    peak = mag
+                elif mag > 0.0:
+                    falling = True
+                small = small + 1 if falling and mag <= 1e-16 * abs(acc) else 0
+                if small == 2:
+                    if peak * _EPS > 1e-6 * abs(acc):
+                        raise ConvergenceError(f"residue series at x={x} loses all precision")
+                    return acc, peak * _EPS
+        else:
+            bounds = np.exp(np.minimum(log_env[part] - shift, 701.0))
+            for mag, s, bound in zip(mags.tolist(), sign[part].tolist(), bounds.tolist()):
+                if bound > err:
+                    return acc, err
+                acc += s * mag
+                err = bound
+                if err < 1e-17 * abs(acc):
+                    return acc, err
+    if log_env is None:
+        raise ConvergenceError(f"power series did not converge within {_TERMS} terms")
+    return acc, err
 
 
 def quad(fn, a: float, b: float, *, log: bool = False, vector: bool = False,

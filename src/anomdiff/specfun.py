@@ -1,8 +1,10 @@
 """Special functions used by every other module.
 
-Gamma/Beta wrappers, the two-parameter Mittag-Leffler function, the Wright
-function, Bessel J/I/K and zeros of J.  All arguments and results are real;
-complex arguments are out of scope.
+Gamma/Beta wrappers, Bessel J/I/K and zeros of J, and the two-parameter
+Mittag-Leffler and the Wright function, which are H-functions: each is one
+Gamma-product kernel, summed by `mellin.fox_h_series` or inverted on the
+contour.  All arguments and results are real; complex arguments are out of
+scope.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,94 +91,37 @@ def beta_fn(a: float, b: float) -> float:
     return float(sp.beta(a, b))
 
 
-def _series(alpha: float, beta: float, z: float, factorial: bool) -> float:
-    """sum_{k>=0} z^k / ([k!] Gamma(alpha*k + beta)), the k! only if `factorial`.
-
-    Summation stops once terms have passed their peak and two in a row are
-    at most 1e-16 of the partial sum; a peak term whose round-off floor
-    exceeds 1e-6 max(1, |sum|) means the sum has cancelled away and raises
-    ConvergenceError.
-    """
-    logz = math.log(abs(z))
-    acc = 0.0
-    peak = 0.0
-    falling = False
-    small = 0
-    for k in range(2000):
-        arg = alpha * k + beta
-        rg = float(sp.rgamma(arg))
-        if rg == 0.0 and arg <= 0.0:  # 1/Gamma vanishes at the poles of Gamma
-            term = 0.0
-            mag = 0.0
-        else:
-            # past arg ~ 171.6 the reciprocal underflows to 0, but its log does not
-            log_rg = math.log(abs(rg)) if rg != 0.0 else -float(sp.gammaln(arg))
-            log_mag = k * logz - (float(sp.gammaln(k + 1.0)) if factorial else 0.0) + log_rg
-            if log_mag > 700.0:
-                raise ConvergenceError("power series overflow")
-            mag = math.exp(log_mag)
-            term = mag if rg >= 0 else -mag
-            if z < 0 and k % 2 == 1:
-                term = -term
-        acc += term
-        if mag > peak:
-            peak = mag
-        elif mag > 0:
-            falling = True
-        if falling and mag <= 1e-16 * abs(acc):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    else:
-        raise ConvergenceError("power series did not converge within 2000 terms")
-    if peak * _EPS > 1e-6 * max(1.0, abs(acc)):
-        raise ConvergenceError(f"series of index ({alpha}, {beta}) at z={z} loses all precision")
-    return acc
+@lru_cache(maxsize=256)
+def _ml_fox(alpha: float, beta: float):
+    """G(s) G(1 - s) / G(beta - alpha s) on (0, 1): its H-function at -z is E_{alpha,beta}(z)."""
+    return mellin.FoxH(((0.0, 1.0), (1.0, -1.0)), ((beta, -alpha),), mellin.MellinStrip(0.0, 1.0))
 
 
-def _ml_expansion(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """-sum_{k>=1} z^{-k} / Gamma(beta - alpha*k), the algebraic expansion of
-    E_{alpha,beta} as |z| -> inf, and its truncation error.
-
-    Each term is at most the envelope |z|^{-k} Gamma(1 - beta + alpha*k)/pi;
-    the sum is truncated at the smallest envelope term, which is returned as
-    the error.
-    """
-    logz = math.log(abs(z))
-    acc = 0.0
-    err = math.inf
-    for k in range(1, 2000):
-        x = 1.0 - beta + alpha * k
-        bound = math.exp(float(sp.gammaln(x)) - k * logz) / math.pi if x > 0 else math.inf
-        if bound > err:
-            break
-        acc -= float(sp.rgamma(beta - alpha * k)) * z**-k
-        err = bound
-        if err < 1e-17 * abs(acc):
-            break
-    return acc, err
+@lru_cache(maxsize=256)
+def _wright_fox(alpha: float, beta: float):
+    """G(eta) / G(beta - alpha eta) on (0, inf): its H-function at -z is W_{alpha,beta}(z)."""
+    return mellin.FoxH(((0.0, 1.0),), ((beta, -alpha),), mellin.MellinStrip(0.0, math.inf))
 
 
 def mittag_leffler(p: MLParams, z: float) -> float:
     """E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha*k + beta) for real z.
 
-    The branch is picked from the argument.  For z > 0, alpha <= 1 and
-    z^(1/alpha) >= max(50, 2 beta) it is the exponential asymptotic
-    (1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)) - sum_{k>=1} z^-k / Gamma(beta - alpha*k),
-    and a value past the float range raises ConvergenceError.  Otherwise it
-    is the power series for z >= -1 or alpha > 1; else the algebraic
-    expansion where its truncation error is below 1e-15 of its value; else
-    the H-function contour of the Mellin kernel
-    Gamma(s) Gamma(1 - s) / Gamma(beta - alpha*s) on the strip (0, 1), whose
-    inverse transform at -z is E_{alpha,beta}(z).
+    Every branch reads the kernel Gamma(s) Gamma(1 - s) / Gamma(beta - alpha*s)
+    on (0, 1), whose H-function at -z is E_{alpha,beta}(z), and the branch is
+    picked from the argument.  For z > 0, alpha <= 1 and z^(1/alpha) >=
+    max(50, 2 beta) it is (1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)) (past
+    the float range: ConvergenceError) plus the right residue series, the
+    algebraic expansion -sum_{k>=1} z^-k / Gamma(beta - alpha*k).  Otherwise
+    it is the left residue series, the power series, for z >= -1 or
+    alpha > 1; else the right one where its error is below 1e-15 of its
+    value; else the contour of the kernel.
     """
     alpha, beta = p.alpha, p.beta
     if z == 0.0:
         return float(sp.rgamma(beta))
     if alpha == 1.0 and beta == 1.0 and z <= _LOG_MAX:
         return math.exp(z)
+    h = _ml_fox(alpha, beta)
     root = 0.0
     if z > 0.0 and alpha <= 1.0:
         # z^(1/alpha) itself may be past the float range
@@ -186,28 +132,24 @@ def mittag_leffler(p: MLParams, z: float) -> float:
             raise ConvergenceError(
                 f"E_({alpha}, {beta})({z}) overflows: its exponential term is e^{log_lead:.6g}"
             )
-        return math.exp(log_lead) + _ml_expansion(alpha, beta, z)[0]
+        return math.exp(log_lead) + mellin.fox_h_series(h, -z, "right")[0]
     if z >= -1.0 or alpha > 1.0:
-        return _series(alpha, beta, z, factorial=False)
-    value, err = _ml_expansion(alpha, beta, z)
-    if err < 1e-15 * abs(value):
-        return value
-    from .mellin import FoxH, MellinStrip, fox_h_eval  # mellin imports specfun
-
-    return fox_h_eval(FoxH(((0.0, 1.0), (1.0, -1.0)), ((beta, -alpha),), MellinStrip(0.0, 1.0)), -z)
+        return mellin.fox_h_series(h, -z, "left")[0]
+    value, err = mellin.fox_h_series(h, -z, "right")
+    return value if err < 1e-15 * abs(value) else mellin.fox_h_eval(h, -z)
 
 
 def wright_w(alpha: float, beta: float, z: float) -> float:
-    """Wright function W_{alpha,beta}(z) = sum_{k>=0} z^k / (k! Gamma(alpha*k + beta)).
-
-    Requires alpha > -1.  The power series is summed directly; a sum that
-    cancels below the round-off floor of its peak term raises ConvergenceError.
+    """Wright function W_{alpha,beta}(z) = sum_{k>=0} z^k / (k! Gamma(alpha*k + beta)),
+    alpha > -1: the left residue series of Gamma(eta) / Gamma(beta - alpha*eta)
+    at -z (for (-nu, 1 - nu) the kernel `laws.l_fox(nu)`).  A sum that cancels
+    below the round-off floor of its peak term raises ConvergenceError.
     """
     if not alpha > -1.0:
         raise DomainError("wright_w requires alpha > -1")
     if z == 0.0:
         return float(sp.rgamma(beta))
-    return _series(alpha, beta, z, factorial=True)
+    return mellin.fox_h_series(_wright_fox(alpha, beta), -z, "left")[0]
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -276,3 +218,6 @@ def bessel_j_zeros(order: float, count: int) -> np.ndarray:
     if np.any(resid > 1e-10):
         raise ConvergenceError("Bessel zero refinement exceeded residual 1e-10")
     return out
+
+
+from . import mellin  # noqa: E402  (mellin imports specfun; its names are read at call time)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kv
 
-from anomdiff.errors import DomainError, StripError, UnsupportedMethodError
+from anomdiff.errors import ConvergenceError, DomainError, StripError, UnsupportedMethodError
 from anomdiff.laws import (
     GGLaw,
     MuVector,
@@ -266,6 +266,17 @@ class TestInverseLaw:
             assert l_density(nu, float(x), 1.3, "foxh") == pytest.approx(
                 l_density(nu, float(x), 1.3, "wright"), abs=1e-10
             )
+
+    @pytest.mark.parametrize("nu, x, method", [
+        (0.4, 10.0, "auto"), (0.5, 10.0, "wright"), (0.7, 5.0, "auto"), (0.9, 2.0, "auto"),
+    ])
+    def test_wright_route_raises_where_its_sum_cancels(self, nu, x, method):
+        # the round-off floor of the peak term exceeds 1e-6 of the sum; with an
+        # absolute floor the first two returned 1.145e-7 (true 1.108e-7) and
+        # -1.79e-4 (true 7.84e-12)
+        assert resolve_method("l", nu, method) == "wright"
+        with pytest.raises(ConvergenceError, match="loses all precision"):
+            l_density(nu, x, 1.0, method)
 
     def test_mellin_transform(self):
         for nu in (0.5, 1 / 3):

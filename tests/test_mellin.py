@@ -9,7 +9,7 @@ import scipy.integrate
 from scipy.integrate import IntegrationWarning
 from scipy.special import kv
 
-from anomdiff.errors import ConvergenceError, DomainError, PoleError, StripError
+from anomdiff.errors import ConvergenceError, DomainError, PoleError, StripError, UnsupportedMethodError
 from anomdiff import mellin
 from anomdiff.frac_calc import GridFunction, rl_left
 from anomdiff.laws import (
@@ -31,6 +31,7 @@ from anomdiff.mellin import (
     MellinStrip,
     fox_h_eval,
     fox_h_mellin,
+    fox_h_series,
     fox_power,
     fox_product,
     mellin_convolve,
@@ -38,7 +39,7 @@ from anomdiff.mellin import (
     mellin_numeric,
 )
 from anomdiff.solvers import space_fractional_fox, space_fractional_mellin, time_fractional_fox
-from anomdiff.specfun import gamma_fn
+from anomdiff.specfun import _wright_fox, gamma_fn, wright_w
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -263,6 +264,57 @@ class TestFoxH:
 # Hand-written Gamma-product transforms of the laws at time t.  The library
 # derives each transform from its law's kernel, so these formulas are the
 # independent oracles of the kernels and of the public transforms.
+
+
+class TestResidueSeries:
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 0.7])
+    def test_stable_right_series_matches_contour(self, nu):
+        # Delta = 1 - 1/nu < 0, so the right series of the stable kernel
+        # converges: an oracle that shares no code with the contour
+        for x in (0.5, 1.0, 3.0):
+            value, _ = fox_h_series(h_fox(nu), x, "right")
+            assert value == pytest.approx(h_density(nu, x, 1.0, "foxh"), rel=1e-10, abs=0.0)
+            if nu == 0.5:
+                want = x**-1.5 * math.exp(-0.25 / x) / (2.0 * SQRT_PI)
+                assert value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_side_needs_exactly_one_pole_carrying_factor(self):
+        with pytest.raises(UnsupportedMethodError, match="has 0"):
+            fox_h_series(h_fox(0.5), 1.0, "left")
+        two = FoxH(((0.0, 1.0), (0.5, 1.0)), (), MellinStrip(0.0, math.inf))
+        with pytest.raises(UnsupportedMethodError, match="has 2"):
+            fox_h_series(two, 1.0, "left")
+
+    def test_shared_pole_raises(self):
+        # G(eta) G(-eta) has a double pole at eta = 0
+        k = FoxH(((0.0, 1.0), (0.0, -1.0)), ((1.0, 0.5),), MellinStrip(0.0, 1.0))
+        with pytest.raises(UnsupportedMethodError, match="share a pole"):
+            fox_h_series(k, 1.0, "left")
+
+    def test_cancelling_slopes_raise(self):
+        k = FoxH(((0.0, 1.0),), ((0.5, 1.0),), MellinStrip(0.0, math.inf))
+        with pytest.raises(DomainError, match="finite radius"):
+            fox_h_series(k, 1.0, "left")
+
+    def test_negative_argument_needs_integer_poles(self):
+        with pytest.raises(DomainError, match="integer poles"):
+            fox_h_series(h_fox(0.5), -1.0, "right")
+        # the poles of G(eta) are the integers -k, so x < 0 is summed: the
+        # series of l_fox(1/2) is exp(-x^2/4)/sqrt(pi) on the whole line
+        assert fox_h_series(l_fox(0.5), -2.0, "left")[0] == pytest.approx(
+            math.exp(-1.0) / SQRT_PI, rel=1e-13
+        )
+
+    def test_wright_kernel_is_the_inverse_law_kernel(self):
+        nu = 0.55
+        k = _wright_fox(-nu, 1.0 - nu)
+        assert (k.num, k.den, k.strip, k.prefactor) == (l_fox(nu).num, l_fox(nu).den, l_fox(nu).strip, 1.0)
+        assert k == l_fox(nu) and hash(k) == hash(l_fox(nu))
+        value = fox_h_series(l_fox(nu), 1.0, "left")[0]
+        before = mellin._residue_terms.cache_info()
+        assert wright_w(-nu, 1.0 - nu, -1.0) == value
+        after = mellin._residue_terms.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def _time_fractional_mellin(gamma, mu, nu):
