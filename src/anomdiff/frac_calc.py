@@ -14,8 +14,11 @@ the interpolant at node j, plus one end term: v_m (X-x)^(1-a)/(1-a) on the
 right, v_0 y^(1-a)/(1-a) on the left.  The interpolant is clamped to v_0
 below the first node.  Past the last node X the right side continues as the
 power law f(X) (s/X)^p in closed form; the left side is defined only up to
-X.  Plain callables use algebraic-weight quadrature; power laws are
-differentiated by the exact rule.
+X.  The grid kernels take a 1-d array of points and sum the slope jumps for
+a block of points at once; the scalar operators pass their point, and
+rl_left its difference stencil, through them.  Plain callables use
+algebraic-weight quadrature; power laws are differentiated by the exact
+rule.
 """
 
 from __future__ import annotations
@@ -122,44 +125,64 @@ class GridFunction:
         return float(self.nodes[-1])
 
 
-def _grid_left_alg_integral(gf: GridFunction, a: float, y: float) -> float:
-    """int_0^y (y-s)^(-a) gf(s) ds for 0 < y <= X, exact for the clamped
-    piecewise-linear interpolant: v_0 y^(1-a)/(1-a) plus the slope-jump sum
-    over the nodes below y."""
-    i = int(np.searchsorted(gf.nodes, y))
-    jumps = gf._slope_jumps[:i] @ (y - gf.nodes[:i]) ** (2.0 - a)
-    return float(gf.values[0] * y ** (1.0 - a) / (1.0 - a) + jumps / ((1.0 - a) * (2.0 - a)))
+_BLOCK_ROWS = 8  # points per block of the slope-jump sum: a block is 8 x n differences
 
 
-def _grid_right_alg_integral(gf: GridFunction, a: float, x: float) -> float:
-    """int_x^inf (s-x)^(-a) gf(s) ds, exact for the clamped piecewise-linear
-    interpolant and its power-law continuation f(X) (s/X)^p past the last
-    node X.
+def _slope_jump_sum(gf: GridFunction, a: float, xs: np.ndarray, side: str) -> np.ndarray:
+    """sum_j kappa_j |x-s_j|^(2-a) over the nodes s_j on the `side` of each x,
+    for a 1-d array of points in ascending order.  The points go in blocks of
+    _BLOCK_ROWS rows over the nodes on that side of the block's first point
+    ("right") or last point ("left"); a node on the near side of a row has a
+    negative difference, which is clipped to 0 before the power, so it adds
+    nothing."""
+    out = np.empty(xs.size)
+    for k in range(0, xs.size, _BLOCK_ROWS):
+        block = xs[k:k + _BLOCK_ROWS, None]
+        if side == "right":
+            i = gf.nodes.searchsorted(block[0, 0], side="right")
+            d, kappa = gf.nodes[i:] - block, gf._slope_jumps[i:]
+        else:
+            i = gf.nodes.searchsorted(block[-1, 0])
+            d, kappa = block - gf.nodes[:i], gf._slope_jumps[:i]
+        np.maximum(d, 0.0, out=d)
+        out[k:k + _BLOCK_ROWS] = np.power(d, 2.0 - a, out=d) @ kappa
+    return out
+
+
+def _grid_left_alg_integral(gf: GridFunction, a: float, ys: np.ndarray) -> np.ndarray:
+    """int_0^y (y-s)^(-a) gf(s) ds at each point of the ascending 1-d array
+    ys, all in (0, X]: exact for the clamped piecewise-linear interpolant, v_0
+    y^(1-a)/(1-a) plus the slope-jump sum over the nodes below y."""
+    jumps = _slope_jump_sum(gf, a, ys, "left")
+    return gf.values[0] * ys ** (1.0 - a) / (1.0 - a) + jumps / ((1.0 - a) * (2.0 - a))
+
+
+def _grid_right_alg_integral(gf: GridFunction, a: float, xs: np.ndarray) -> np.ndarray:
+    """int_x^inf (s-x)^(-a) gf(s) ds at each point of the ascending 1-d array
+    xs >= 0, exact for the clamped piecewise-linear interpolant and its
+    power-law continuation f(X) (s/X)^p past the last node X.
 
     Up to X the integral is v_m (X-x)^(1-a)/(1-a) plus the slope-jump sum
-    over the nodes above x.  The continuation contributes zero for p = -inf,
-    and otherwise f(X) X^(1-a) 2F1(a, b; b+1; x/X) / b with b = a - p - 1
-    when x < X, or f(X) X^(-p) x^(-b) B(1-a, b) when x >= X; it needs
-    p < a - 1.
+    over the nodes above x; both vanish for x >= X.  The continuation
+    contributes zero for p = -inf, and otherwise f(X) X^(1-a)
+    2F1(a, b; b+1; x/X) / b with b = a - p - 1 when x < X, or f(X) X^(-p)
+    x^(-b) B(1-a, b) when x >= X; it needs p < a - 1.
     """
     x_max = gf.x_max
     p = gf.extrapolation_decay
     v_max = float(gf.values[-1])
-    body = 0.0
-    if x < x_max:
-        i = int(np.searchsorted(gf.nodes, x, side="right"))
-        jumps = gf._slope_jumps[i:] @ (gf.nodes[i:] - x) ** (2.0 - a)
-        body = v_max * (x_max - x) ** (1.0 - a) / (1.0 - a) + jumps / ((1.0 - a) * (2.0 - a))
+    jumps = _slope_jump_sum(gf, a, xs, "right")
+    body = v_max * np.maximum(x_max - xs, 0.0) ** (1.0 - a) / (1.0 - a) + jumps / ((1.0 - a) * (2.0 - a))
     if p == -np.inf:
-        return float(body)
+        return body
     b = a - p - 1.0
     if not b > 0.0:
         raise DivergentTailError(f"grid tail exponent {p} too weak for a kernel of order {a}")
-    if x < x_max:
-        tail = v_max * x_max ** (1.0 - a) * sp.hyp2f1(a, b, b + 1.0, x / x_max) / b
-    else:
-        tail = v_max * x_max ** (-p) * x ** (-b) * sp.beta(1.0 - a, b)
-    return float(body + tail)
+    inside = xs < x_max
+    tail = np.empty(xs.size)
+    tail[inside] = v_max * x_max ** (1.0 - a) * sp.hyp2f1(a, b, b + 1.0, xs[inside] / x_max) / b
+    tail[~inside] = v_max * x_max ** (-p) * xs[~inside] ** (-b) * sp.beta(1.0 - a, b)
+    return body + tail
 
 
 def _left_alg_integral(f, a: float, y: float) -> float:
@@ -168,7 +191,7 @@ def _left_alg_integral(f, a: float, y: float) -> float:
     if y <= 0:
         return 0.0
     if isinstance(f, GridFunction):
-        return _grid_left_alg_integral(f, a, y)
+        return float(_grid_left_alg_integral(f, a, np.array([y]))[0])
     return quad(f, 0.0, y, weight="alg", wvar=(0.0, -a), epsabs=1e-12, epsrel=1e-10, limit=200)
 
 
@@ -177,7 +200,7 @@ def _right_alg_integral(f, a: float, x: float) -> float:
     is a sampled grid, otherwise algebraic-weight quadrature near x and plain
     quadrature on the rest of the half-line."""
     if isinstance(f, GridFunction):
-        return _grid_right_alg_integral(f, a, x)
+        return float(_grid_right_alg_integral(f, a, np.array([x]))[0])
     w0 = max(1.0, 0.5 * abs(x))
     near = quad(lambda w: f(x + w), 0.0, w0, weight="alg", wvar=(-a, 0.0),
                 epsabs=1e-12, epsrel=1e-10, limit=200)
@@ -214,11 +237,14 @@ def rl_left(alpha: float, f, x: float) -> float:
         raise DomainError("x outside grid coverage")
     h = _fd_step(x)
     c = 1.0 / gamma_fn(1.0 - alpha)
-    dn = _left_alg_integral(f, alpha, x - h)
-    if isinstance(f, GridFunction) and x + h > f.x_max:
-        here = _left_alg_integral(f, alpha, x)
-        return c * (3.0 * here - 4.0 * dn + _left_alg_integral(f, alpha, x - 2.0 * h)) / (2.0 * h)
-    return c * (_left_alg_integral(f, alpha, x + h) - dn) / (2.0 * h)
+    if not isinstance(f, GridFunction):
+        dn, up = _left_alg_integral(f, alpha, x - h), _left_alg_integral(f, alpha, x + h)
+    elif x + h > f.x_max:
+        dn2, dn, here = _grid_left_alg_integral(f, alpha, np.array([x - 2.0 * h, x - h, x]))
+        return float(c * (3.0 * here - 4.0 * dn + dn2) / (2.0 * h))
+    else:
+        dn, up = _grid_left_alg_integral(f, alpha, np.array([x - h, x + h]))
+    return float(c * (up - dn) / (2.0 * h))
 
 
 def _tail_decay_of(f, tail_decay):

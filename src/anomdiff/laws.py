@@ -213,10 +213,12 @@ def gg_density(law: GGLaw, x: float, t: float, tilde: bool = False) -> float:
     if tilde:
         t = t ** (1.0 / g)
     z = x / t
-    expo = -(z**g) + (g * mu - 1.0) * math.log(z)
+    # Gamma(mu) enters the exponent as its log: past mu = 171 it overflows,
+    # and so does exp of the rest, where the density itself is finite
+    expo = -(z**g) + (g * mu - 1.0) * math.log(z) - math.lgamma(mu)
     if expo < -700.0:
         return 0.0
-    return abs(g) / (t * gamma_fn(mu)) * math.exp(expo)
+    return abs(g) / t * math.exp(expo)
 
 
 def gg_mellin(law: GGLaw, t: float, eta: float, tilde: bool = False) -> float:

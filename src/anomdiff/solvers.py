@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, StripError, UnsupportedMethodError
-from .frac_calc import GridFunction, rl_right
+from .errors import DivergentTailError, DomainError, StripError, UnsupportedMethodError
+from .frac_calc import GridFunction, _grid_right_alg_integral
 from .laws import (
     GGLaw,
     _law_density,
@@ -245,6 +245,7 @@ def adjoint_generator_apply(gamma: float, mu: float, f, x: float, h: float = 1e-
 
 
 _RULE_NODES = 8  # Gauss nodes per mesh segment and on the singular stretch
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(_RULE_NODES)
 
 
 def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -267,11 +268,12 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
     x^(mu-1+nu) times the right derivative of order nu of x^(1-mu) f).
 
     This is the fractional power of (minus) the adjoint generator for unit
-    shape index.  The inner right derivative is tabulated once on a geometric
-    mesh spanning the grid of f and interpolated by a cubic spline S in
-    u = log s (the outer derivative needs a C^1 integrand to keep its
-    accuracy as nu -> 1).  The spline continues as a power law v0 (s/s0)^p
-    below the mesh and as zero beyond it.
+    shape index.  The inner right derivative is tabulated on a geometric
+    mesh spanning the grid of f, by one call of the array-valued grid kernel
+    on the derivative of x^(1-mu) f after the tail check of `rl_right`, and
+    interpolated by a cubic spline S in u = log s (the outer derivative needs
+    a C^1 integrand to keep its accuracy as nu -> 1).  The spline continues
+    as a power law v0 (s/s0)^p below the mesh and as zero beyond it.
 
     The outer stage is a fixed product rule on the derivative form
     D^nu m(x) = [m(0+) x^-nu + int_0^x (x-s)^-nu m'(s) ds] / Gamma(1-nu),
@@ -290,8 +292,11 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
 
     inner_decay = f.extrapolation_decay + (1.0 - mu) if math.isfinite(f.extrapolation_decay) else -np.inf
     g1 = GridFunction(f.nodes, f.nodes ** (1.0 - mu) * f.values, inner_decay)
+    if not inner_decay < -nu:
+        raise DivergentTailError(f"tail exponent {inner_decay} too weak for right derivative of order {nu}")
+    gam = gamma_fn(1.0 - nu)
     mesh = np.geomspace(f.nodes[0], f.nodes[-1] * 0.999, n_mesh)
-    inner = np.array([rl_right(nu, g1, float(s)) for s in mesh])
+    inner = -_grid_right_alg_integral(g1.derivative(), nu, mesh) / gam
     mid_vals = mesh ** (mu - 1.0 + nu) * inner
     u = np.log(mesh)
     spline = CubicSpline(u, mid_vals)
@@ -301,14 +306,12 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
         head_pow = 1.0
     if not head_pow > -1.0:
         raise DomainError(f"the middle stage grows like s^{head_pow:.3g} at 0 and is not integrable")
-    gam = gamma_fn(1.0 - nu)
 
     # Gauss-Legendre nodes in u on every mesh segment (one row per segment)
-    t, w = np.polynomial.legendre.leggauss(_RULE_NODES)
     half = 0.5 * np.diff(u)[:, None]
-    uq = u[:-1, None] + half * (t + 1.0)
+    uq = u[:-1, None] + half * (_GL_T + 1.0)
     sq = np.exp(uq)
-    wq = half * w
+    wq = half * _GL_W
     slope_w = wq * spline(uq, 1)
     tj, wj = _gauss_jacobi(_RULE_NODES, nu)
 

@@ -77,10 +77,14 @@ def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function on the real line; poles at 0, -1, -2, ... are rejected."""
+    """Gamma function on the real line; poles at 0, -1, -2, ... are rejected.
+    Past x = 171.62 the value overflows to inf, as scipy.special.gamma's does."""
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x={x}")
-    return float(sp.gamma(x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def beta_fn(a: float, b: float) -> float:

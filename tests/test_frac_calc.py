@@ -6,8 +6,18 @@ import pytest
 import scipy.integrate
 from scipy.integrate import IntegrationWarning, quad
 
+from anomdiff import frac_calc, solvers
 from anomdiff.errors import DivergentTailError, DomainError
-from anomdiff.frac_calc import GridFunction, PowerLaw, caputo, frac_integral, rl_left, rl_right
+from anomdiff.frac_calc import (
+    GridFunction,
+    PowerLaw,
+    _grid_left_alg_integral,
+    _grid_right_alg_integral,
+    caputo,
+    frac_integral,
+    rl_left,
+    rl_right,
+)
 from anomdiff.solvers import fractional_power_operator
 from anomdiff.specfun import gamma_fn
 from quadrature_oracles import left_grid_kernel_by_segments, right_grid_kernel_by_segments
@@ -192,6 +202,8 @@ class TestRightGridKernel:
         gf = GridFunction([0.5, 1.0, 2.0], [1.0, 1.0, 1.0], extrapolation_decay=-0.1)
         with pytest.raises(DivergentTailError):
             frac_integral("right", 0.5, gf, 1.0, tail_decay=-1.0)
+        with pytest.raises(DivergentTailError):
+            _grid_right_alg_integral(gf, 0.5, np.array([0.7, 1.0, 3.0]))
 
     def test_matches_old_quadrature_on_verify_grid(self):
         nodes = np.geomspace(1e-5, 50.0, 2500)
@@ -244,6 +256,20 @@ def _left_kernel_by_quad(a, gf, y):
     return quad(h, 0.0, y**p / p, points=breaks or None, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
 
 
+@pytest.fixture(scope="module")
+def bench_grids():
+    """The benchmark's operator grids with its points, and no continuation
+    past X, which the right-hand oracle leaves out."""
+    exp_nodes = np.geomspace(1e-5, 50.0, 2500)
+    pow_nodes = np.linspace(1e-6, 2.5, 3001)
+    sq_nodes = np.linspace(1e-7, 1.2, 6001)
+    return {
+        "exp": (GridFunction(exp_nodes, exp_nodes * np.exp(-exp_nodes)), (0.25, 1.0, 2.0)),
+        "pow": (GridFunction(pow_nodes, np.sqrt(pow_nodes)), (0.5, 1.0, 2.0)),
+        "sq": (GridFunction(sq_nodes, sq_nodes**2 + 1.0), (0.4, 0.8, 1.2)),
+    }
+
+
 class TestLeftGridKernel:
     """Product integration of the left-sided kernel on GridFunction inputs."""
 
@@ -266,19 +292,6 @@ class TestLeftGridKernel:
         with pytest.raises(DomainError, match="outside grid coverage"):
             frac_integral("left", 0.5, small_grid, 1.5 * small_grid.x_max)
         assert math.isfinite(frac_integral("left", 0.5, small_grid, small_grid.x_max))
-
-    @pytest.fixture(scope="class")
-    def bench_grids(self):
-        """The benchmark's operator grids with its points, and no continuation
-        past X, which the right-hand oracle leaves out."""
-        exp_nodes = np.geomspace(1e-5, 50.0, 2500)
-        pow_nodes = np.linspace(1e-6, 2.5, 3001)
-        sq_nodes = np.linspace(1e-7, 1.2, 6001)
-        return {
-            "exp": (GridFunction(exp_nodes, exp_nodes * np.exp(-exp_nodes)), (0.25, 1.0, 2.0)),
-            "pow": (GridFunction(pow_nodes, np.sqrt(pow_nodes)), (0.5, 1.0, 2.0)),
-            "sq": (GridFunction(sq_nodes, sq_nodes**2 + 1.0), (0.4, 0.8, 1.2)),
-        }
 
     @pytest.mark.parametrize("name", ["exp", "pow", "sq"])
     def test_slope_jump_sum_matches_segment_sum(self, bench_grids, name):
@@ -303,6 +316,89 @@ class TestLeftGridKernel:
             for x in xs:
                 want = left_grid_kernel_by_segments(gf.derivative(), alpha, x) / gamma_fn(1.0 - alpha)
                 assert caputo(alpha, gf, x) == pytest.approx(want, rel=1e-12)
+
+
+class TestArrayKernels:
+    """One kernel call on a whole array of points agrees, point by point, with
+    the segment-by-segment oracle."""
+
+    def test_operator_mesh(self):
+        # the inner stage of fractional_power_operator(2, nu, x e^-x): the
+        # right kernel of (x^-1 f)' = -e^-x at every point of its mesh
+        nodes = np.geomspace(1e-5, 50.0, 2500)
+        gd = GridFunction(nodes, np.exp(-nodes), -np.inf).derivative()
+        mesh = np.geomspace(nodes[0], nodes[-1] * 0.999, 192)
+        for a in (0.3, 0.5, 0.8):
+            got = _grid_right_alg_integral(gd, a, mesh)
+            want = np.array([right_grid_kernel_by_segments(gd, a, x) for x in mesh])
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["pow", "sq"])
+    def test_bench_points_both_sides(self, bench_grids, name):
+        # the benchmark's points among others up to X, in three blocks
+        gf, xs = bench_grids[name]
+        xs = np.sort(np.concatenate([xs, np.linspace(0.05, gf.x_max, 17)]))
+        for a in (0.3, 0.5, 0.8):
+            got = _grid_left_alg_integral(gf, a, xs)
+            want = [left_grid_kernel_by_segments(gf, a, x) for x in xs]
+            assert list(got) == pytest.approx(want, rel=1e-13)
+            got = _grid_right_alg_integral(gf, a, xs)
+            want = [right_grid_kernel_by_segments(gf, a, x) for x in xs]  # 0 at and past X
+            assert list(got) == pytest.approx(want, rel=1e-13)
+
+    def test_finite_decay_tail_inside_and_past_the_grid(self):
+        # points below X take the 2F1 tail, points at and past X the Beta
+        # tail, in one array; mpmath integrates the tail
+        # v_m int_max(x,X)^inf (s-x)^-a (s/X)^p ds in u = (s-x)^(1-a)/(1-a),
+        # which removes the singularity at s = x
+        import mpmath
+
+        nodes = np.geomspace(0.2, 6.0, 20)
+        values = (1.0 + nodes) ** -2.5 * (1.0 + 0.3 * np.sin(3.0 * nodes))
+        gf = GridFunction(nodes, values, -2.5)
+        x_max, v_max = gf.x_max, float(values[-1])
+        xs = np.array([0.0, 0.05, nodes[7], 1.1, 5.9, x_max, 1.4 * x_max, 3.0 * x_max])
+        with mpmath.workdps(30):
+            for a in (0.3, 0.5, 0.8):
+                got = _grid_right_alg_integral(gf, a, xs)
+                q = 1.0 - a
+                for x, g in zip(xs, got):
+                    u0 = mpmath.mpf(max(x, x_max) - x) ** q / q
+                    tail = mpmath.quad(
+                        lambda u: ((x + (q * u) ** (1 / q)) / x_max) ** -2.5, [u0, u0 + 1, mpmath.inf]
+                    )
+                    body = right_grid_kernel_by_segments(gf, a, x) if x < x_max else 0.0
+                    assert g == pytest.approx(body + v_max * float(tail), rel=1e-13)
+
+
+def test_fractional_power_operator_calls_no_scalar_kernel(monkeypatch):
+    # the inner stage is one array kernel call, not one rl_right per mesh point
+    def no_rl_right(*args, **kwargs):
+        raise AssertionError("rl_right called during the build")
+
+    monkeypatch.setattr(frac_calc, "rl_right", no_rl_right)
+    monkeypatch.setattr(solvers, "rl_right", no_rl_right, raising=False)
+    nodes = np.geomspace(1e-5, 50.0, 2500)
+    op = fractional_power_operator(2.0, 0.5, GridFunction(nodes, nodes * np.exp(-nodes), -np.inf))
+    assert math.isfinite(op(1.0))
+
+
+def test_fractional_power_operator_build_memory():
+    # the kernel works in blocks of 8 rows, so a build peaks near 0.6 MB
+    # (0.4 MB with one rl_right call per mesh point); one 192 x 2500
+    # difference matrix alone would be 3.8 MB
+    import tracemalloc
+
+    nodes = np.geomspace(1e-5, 50.0, 2500)
+    gf = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)
+    fractional_power_operator(2.0, 0.5, gf)  # imports and caches
+    tracemalloc.start()
+    try:
+        fractional_power_operator(2.0, 0.5, gf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_fractional_power_operator_values_pinned():

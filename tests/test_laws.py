@@ -66,6 +66,15 @@ class TestGGLaw:
         val = quad(lambda x: gg_density(GGLaw(gamma, mu), x, 1.3), 0, np.inf, limit=200)[0]
         assert val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 171.0, 180.0, 300.0])
+    def test_large_shape_matches_scipy(self, mu):
+        # past mu = 171 Gamma(mu) overflows, but the density does not
+        from scipy import stats
+
+        for x in (0.3 * mu, mu, 1.7 * mu + 1.0):
+            want = stats.gamma(mu).pdf(x)
+            assert gg_density(GGLaw(1.0, mu), x, 1.0) == pytest.approx(want, rel=1e-11)
+
     def test_tilde_rescales_time(self):
         law = GGLaw(2.0, 0.7)
         assert gg_density(law, 1.1, 3.0, tilde=True) == pytest.approx(

@@ -55,7 +55,18 @@ class TestGamma:
         for x in np.linspace(0.05, 50.0, 97):
             assert gamma_fn(float(x)) == pytest.approx(stirling_gamma(float(x)), rel=5e-13)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -7.0])
+    def test_matches_scipy_on_the_real_line(self):
+        xs = np.arange(-170.5, 171.5 + 1e-9, 0.07)
+        xs = xs[np.abs(xs - np.round(xs)) > 1e-6]  # skip the poles
+        got = np.array([gamma_fn(float(x)) for x in xs])
+        want = sp.gamma(xs)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+    def test_overflow_is_inf(self):
+        assert gamma_fn(172.0) == math.inf
+        assert gamma_fn(171.5) < math.inf
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -7.0, -170.0])
     def test_pole_error(self, x):
         with pytest.raises(PoleError):
             gamma_fn(x)
