@@ -111,7 +111,10 @@ class GridFunction:
             if self.nodes.size >= 4:
                 from scipy.interpolate import CubicSpline
 
-                dv = CubicSpline(self.nodes, self.values)(self.nodes, 1)
+                # row c[2] is each piece's slope at its left node; the last
+                # node is the right end of the last piece
+                spline = CubicSpline(self.nodes, self.values)
+                dv = np.append(spline.c[2], spline(self.nodes[-1], 1))
             else:
                 dv = np.gradient(self.values, self.nodes)
             decay = self.extrapolation_decay

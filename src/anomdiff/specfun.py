@@ -35,7 +35,10 @@ class _LazySpecial:
     """scipy.special, imported at the first attribute read.
 
     Every module of the package reaches scipy.special through the one
-    instance `sp`, so `import anomdiff` loads no SciPy.  Each attribute is
+    instance `sp`, so `import anomdiff` loads no SciPy, and neither does a
+    command whose work reads no attribute of it: the contour route has its
+    own complex log-Gamma (`mellin._loggamma`), and the closed forms, the
+    samplers and verify's Monte Carlo checks use `math`.  Each attribute is
     cached on the instance, so later reads are plain instance lookups.
     """
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import anomdiff
 
 _SRC = str(Path(anomdiff.__file__).resolve().parents[1])
@@ -28,20 +30,50 @@ def test_import_loads_no_scipy():
     assert scipy_modules_after("import anomdiff") == []
 
 
-def test_closed_form_table_loads_no_scipy():
-    # the command as `python -m anomdiff.cli` runs it; nu = 1/2 is one closed form
+def test_contour_route_needs_no_quadrature():
+    loaded = scipy_modules_after("from anomdiff import h_density\nassert h_density(0.3, 1.0, 1.0, 'foxh') > 0")
+    assert loaded == []
+
+
+_GRID = ["xmin=0.2", "xmax=3.0", "nx=8", "t=1.0"]
+# What scipy.integrate loads with it (scipy 1.17): a command that integrates
+# may load these subpackages and no others.
+_QUADRATURE = {"scipy.constants", "scipy.fft", "scipy.integrate", "scipy.linalg", "scipy.optimize",
+               "scipy.sparse", "scipy.spatial", "scipy.special", "scipy.version"}
+
+# The ten commands of the benchmark's `cli` workload, each with the public
+# scipy subpackages it may load; an empty set means no scipy module at all.
+COMMANDS = {
+    "tabulate-l": (["tabulate", "density=l", "nu=0.5"] + _GRID, set()),
+    "tabulate-h-foxh": (["tabulate", "density=h", "nu=0.3", "method=foxh"] + _GRID, set()),
+    "tabulate-g_nu_beta-foxh": (["tabulate", "density=g_nu_beta", "mu=1.0", "nu=0.7", "beta=0.5", "route=foxh"]
+                                + _GRID, set()),
+    "tabulate-compose": (["tabulate", "density=compose", "gamma=1", "mu=1/4,2/4,3/4"] + _GRID, set()),
+    "sample-subordinator": (["sample", "dist=subordinator", "nu=0.5", "n=2000"], set()),
+    "sample-chain": (["sample", "dist=chain", "kind=inverse", "mu_vector=1/2", "n=2000"], set()),
+    "moments": (["moments", "nu=1", "beta=0.5", "r=1"], set()),
+    "verify-montecarlo": (["verify", "suite=montecarlo"], set()),
+    "solve-bvp": (["solve-bvp", "m0=first-mode", "nu=0.5"], _QUADRATURE),
+    "verify-laws": (["verify", "suite=laws"], _QUADRATURE),
+}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_command_loads_only_its_scipy_subpackages(name):
+    # the command as `python -m anomdiff.cli` runs it, its output discarded
+    (command, *params), allowed = COMMANDS[name]
+    argv = ["anomdiff", "--command", command, "--seed", "0"] + [a for p in params for a in ("--param", p)]
     run_cli = (
-        "import runpy, sys\n"
-        "sys.argv = ['anomdiff', '--command', 'tabulate', '--param', 'density=l', '--param', 'nu=0.5']\n"
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
         "try:\n"
-        "    runpy.run_module('anomdiff.cli', run_name='__main__')\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        runpy.run_module('anomdiff.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert exc.code in (0, None), exc.code"
     )
-    assert scipy_modules_after(run_cli) == []
-
-
-def test_contour_route_needs_no_quadrature():
-    loaded = scipy_modules_after("from anomdiff import h_density\nassert h_density(0.3, 1.0, 1.0, 'foxh') > 0")
-    assert "scipy.special" in loaded
-    assert "scipy.integrate" not in loaded
+    loaded = scipy_modules_after(run_cli)
+    if not allowed:
+        assert loaded == []
+    public = {".".join(m.split(".")[:2]) for m in loaded if m.count(".") and not m.split(".")[1].startswith("_")}
+    assert public <= allowed

@@ -270,6 +270,19 @@ def bench_grids():
     }
 
 
+@pytest.mark.parametrize("name", ["exp", "pow", "sq", "4 nodes", "5 nodes"])
+def test_derivative_is_the_spline_slope_at_the_nodes(bench_grids, name):
+    # bit for bit the spline's derivative evaluated at every node
+    from scipy.interpolate import CubicSpline
+
+    if name in bench_grids:
+        gf = bench_grids[name][0]
+    else:
+        nodes = np.array([0.3, 0.7, 1.6, 2.0, 3.1])[: int(name[0])]
+        gf = GridFunction(nodes, np.sin(nodes))
+    assert np.array_equal(gf.derivative().values, CubicSpline(gf.nodes, gf.values)(gf.nodes, 1))
+
+
 class TestLeftGridKernel:
     """Product integration of the left-sided kernel on GridFunction inputs."""
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from scipy.integrate import IntegrationWarning
-from scipy.special import kv
+from scipy.special import gamma as sp_gamma, kv, loggamma as sp_loggamma
 
 from anomdiff.errors import ConvergenceError, DomainError, PoleError, StripError, UnsupportedMethodError
 from anomdiff import mellin
@@ -596,3 +596,64 @@ class TestContourSum:
         b = FoxH(a.num, a.den, a.strip, a.prefactor)
         assert a is not b and a == b
         assert hash(a) == hash(b) == a._hash == hash((a.num, a.den, a.strip, a.prefactor))
+
+
+def _scipy_kernel(h, eta):
+    # the kernel summed from SciPy's complex log-Gamma, one factor at a time
+    eta = np.asarray(eta, dtype=complex)
+    log_k = sum(sp_loggamma(c + d * eta) for c, d in h.num) - sum(sp_loggamma(c + d * eta) for c, d in h.den)
+    return h.prefactor * np.exp(log_k + np.zeros_like(eta))
+
+
+def _exp_gap(z):
+    # |exp(ours - scipy's) - 1|: the logarithms may differ by 2 pi i k
+    return np.abs(np.expm1(mellin._loggamma(z) - sp_loggamma(z)))
+
+
+class TestLogGamma:
+    def test_matches_scipy_up_to_contour_heights(self):
+        # the error is the phase round-off eps |Im log G(z)|, which SciPy's has
+        # too; one call shifts every entry by the 72 that Re z = -60 needs
+        im = np.geomspace(1e-3, 900.0, 60)
+        z = (np.linspace(-60.0, 60.0, 241)[:, None] + 0.137 + 1j * np.concatenate([-im[::-1], [0.0], im])).ravel()
+        assert np.max(_exp_gap(z)) <= 5e-12
+
+    def test_matches_scipy_at_small_modulus(self):
+        re, im = np.meshgrid(np.linspace(-30.0, 30.0, 241) + 0.0371, np.linspace(-30.0, 30.0, 241))
+        z = (re + 1j * im).ravel()
+        assert np.max(_exp_gap(z[np.abs(z) < 30.0])) <= 1e-13
+        assert np.max(_exp_gap(z[np.abs(z) < 3.0])) <= 1e-14
+
+    def test_negative_reals_keep_the_sign_of_gamma(self):
+        x = -(np.arange(60.0)[:, None] + np.array([0.1, 0.5, 0.9])).ravel()
+        ratio = np.exp(mellin._loggamma(x.astype(complex))) / sp_gamma(x)
+        assert np.max(np.abs(ratio - 1.0)) <= 1.5e-13
+
+    def test_pole_gives_inf_and_its_reciprocal_zero(self):
+        lg = mellin._loggamma(np.array([0.0, -3.0, 2.0], dtype=complex))
+        assert lg[0].real == lg[1].real == math.inf
+        # G(eta) / G(eta - 3) vanishes at eta = 3, where SciPy's kernel is NaN
+        h = FoxH(((0.0, 1.0),), ((-3.0, 1.0),), MellinStrip(0.0, 1.0))
+        assert h.kernel(np.array([0.5, 3.0])).tolist() == [pytest.approx(_scipy_kernel(h, 0.5), rel=1e-14), 0.0]
+
+    def test_constant_factors_ride_along(self):
+        h = FoxH(((0.0, 1.0), (-1.5, 0.0), (2.5, 0.0)), ((0.3, 0.0), (1.0, 0.5)), MellinStrip(0.0, 1.0), 0.7)
+        eta = 0.5 + 1j * np.linspace(-40.0, 40.0, 81)
+        assert np.max(np.abs(h.kernel(eta) / _scipy_kernel(h, eta) - 1.0)) <= 1e-13
+        only = FoxH((), ((-1.5, 0.0), (0.3, 0.0)), MellinStrip(-math.inf, math.inf), 2.0)
+        assert only.kernel(0.25) == pytest.approx(2.0 / (sp_gamma(-1.5) * sp_gamma(0.3)), rel=1e-14)
+        empty = FoxH((), (), MellinStrip(-math.inf, math.inf), 3.0)
+        assert np.array_equal(empty.kernel(eta), np.full(eta.shape, 3.0 + 0j))
+        assert h.kernel(eta.reshape(9, 9)).shape == (9, 9)
+
+    @pytest.mark.parametrize("kernel", [
+        h_fox(0.3), h_fox(0.8), l_fox(0.3), l_fox(0.9), gg_fox(2.0, 1.3), gg_fox(-1.0, 0.5),
+        compose_fox(1.0, (0.25, 0.5, 0.75)), compose_fox(-1.0, (0.2, 0.4, 0.6, 0.8)),
+        f_nu_beta_fox(0.7, 0.5), space_fractional_fox(1.5, 0.6, 1.0), time_fractional_fox(2.0, 0.7, 0.5),
+    ])
+    def test_kernel_matches_scipy_on_contour_nodes(self, kernel):
+        c = kernel.strip.default_abscissa()
+        for panel in (4.0, 1.0):
+            t0, h, _ = mellin._contour_samples(kernel, c, panel)
+            eta = c + 1j * (t0[:, None] + np.append(h, panel)).ravel()
+            assert np.max(np.abs(kernel.kernel(eta) / _scipy_kernel(kernel, eta) - 1.0)) <= 1e-12

@@ -19,6 +19,7 @@ from anomdiff.montecarlo import (
     sample_inverse_subordinator,
     sample_subordinator,
 )
+from anomdiff import verify
 from anomdiff.specfun import gamma_fn
 
 N = 100_000
@@ -237,3 +238,21 @@ class TestMomentScaling:
             moment_scaling_slope(
                 1.0, 0.5, 1.0, 1.0, [0.5, 1.0, 2.0, 4.0], RngSpec(3, 28), n_samples=N
             )
+
+
+def test_verify_ks_references_match_scipy_and_mpmath():
+    # the closed forms that verify's mc.sampler_ks takes as reference CDFs
+    mp = pytest.importorskip("mpmath")
+    x = np.geomspace(1e-4, 1e4, 801)
+    cases = [  # closed form, SciPy's value, mpmath's function of one point
+        (verify._gamma2_cdf, sp.gammainc(2.0, x), lambda v: mp.gammainc(2, 0, v, regularized=True)),
+        (verify._inv_gamma_half_cdf, sp.gammaincc(0.5, 1.0 / x), lambda v: mp.gammainc(0.5, 1 / v, mp.inf, regularized=True)),
+        (verify._stable_half_cdf, sp.erfc(1.0 / (2.0 * np.sqrt(x))), lambda v: mp.erfc(1 / (2 * mp.sqrt(v)))),
+        (verify._inverse_stable_half_cdf, sp.erf(x / 2.0), lambda v: mp.erf(v / 2)),
+    ]
+    with mp.workdps(30):
+        for cdf, scipy_value, exact in cases:
+            got = cdf(x)
+            # SciPy's Q(1/2, y) is itself 4.2e-15 off near y = 1; the rest agree to 3.3e-16
+            assert np.max(np.abs(got - scipy_value)) <= 5e-15
+            assert np.max(np.abs(got - np.array([float(exact(mp.mpf(v))) for v in x]))) <= 1e-15
