@@ -513,7 +513,8 @@ def f_nu_beta(nu: float, beta: float, x: float, t: float) -> float:
 
 def index_set(kind: str, n: int, kappa: int, target: int) -> list:
     """All vectors (u_1/kappa, ..., u_n/kappa) with positive integer u_j whose
-    product ('P') or sum ('S') equals `target`, in lexicographic order."""
+    product ('P') or sum ('S') equals `target`, in lexicographic order: the
+    index classes, e.g. P(4, 5, 24) with criterion 4's (1,2,3,4)/5, (24,1,1,1)/5."""
     if n < 1 or kappa < 1 or target < 1:
         raise DomainError("n, kappa, target must be positive integers")
     results = []
@@ -556,7 +557,7 @@ def _route(name: str, p: dict) -> str:
     if name in ("h", "l"):
         return resolve_method(name, p["nu"], p.get("method", "auto"))
     if name == "g_nu_beta":
-        return p.get("route", "double_integral")
+        return p.get("route", "foxh")
     return name
 
 

@@ -4,14 +4,15 @@ Numerical Mellin transforms on (0, inf), the multiplicative (Mellin)
 convolution, and H-functions defined through a ratio of Gamma products:
 the transform kernel is evaluated directly and the function itself is
 recovered by quadrature along a vertical contour inside the fundamental
-strip.  Kernels of products and powers of variates are formed from their
-factors' kernels (`fox_product`, `fox_power`).  The kernel's complex
-log-Gamma is the module's own (`_loggamma`, Stirling's series after an
-upward shift), so the contour route loads no SciPy module.  The contour
-samples of a kernel are memoized on (kernel, abscissa, panel), so an
-evaluation on a known contour costs one short phase sum.  `fox_h_series`
-sums a kernel's residues instead, left or right of the contour, from
-coefficients memoized on (kernel, side).  `quad` is the one
+strip, which is checked for poles in closed form, one test per factor.
+Kernels of products and powers of variates are formed from their factors'
+kernels (`fox_product`, `fox_power`).  The kernel's complex log-Gamma is
+the module's own (`_loggamma`, Stirling's series after an upward shift),
+so the contour route loads no SciPy module.  The contour samples of a
+kernel are memoized on (kernel, abscissa, panel), so an evaluation on a
+known contour costs one short phase sum.  `fox_h_series` sums a kernel's
+residues instead, left or right of the contour, from coefficients
+memoized on (kernel, side).  `quad` is the one
 adaptive-quadrature helper of the library: it checks every error estimate.
 """
 
@@ -68,9 +69,22 @@ class MellinStrip:
 _POLE_TOL = 1e-9  # a Gamma argument this close to 0, -1, -2, ... is a pole
 
 
-def _on_edge(eta: float, end: float) -> bool:
-    # a pole computed one ulp inside a strip end it sits on lies on that end
-    return math.isfinite(end) and abs(eta - end) <= 1e-12 * max(abs(end), 1.0)
+def _gamma_pole(factors, eta: float):
+    """The first Gamma argument c + d eta of `factors` at a pole, or None."""
+    return next((c + d * eta for c, d in factors if _is_nonpositive_integer(c + d * eta, _POLE_TOL)), None)
+
+
+def _strip_pole(c: float, d: float, lo: float, hi: float):
+    """A pole eta = -(c + k)/d, k = 0, 1, ..., of G(c + d eta) in (lo, hi), or
+    None.  Of the non-positive integers in the image of (lo, hi) only the
+    largest below its upper end needs a test: 0 or ceil(upper) - 1.  Its
+    neighbours are tried too: `upper` is rounded, and the test is made in eta."""
+    upper = c + d * (hi if d > 0.0 else lo)
+    top = 0.0 if upper > 0.0 else float(math.ceil(upper) - 1)
+    for y in (top + 1.0, top, top - 1.0):
+        if y <= 0.0 and lo < (y - c) / d < hi:
+            return (y - c) / d
+    return None
 
 
 # B_2k / (2k (2k - 1)), k = 1..8: the coefficients of Stirling's series in 1/z
@@ -161,25 +175,6 @@ def _log_gamma_sum(stack, eta):
     return out.reshape(eta.shape)
 
 
-def _numerator_poles(num, strip: MellinStrip) -> tuple:
-    """Real eta where a factor G(c + d eta) of `num` has a pole: eta = -(c + k)/d
-    for k = 0, 1, ... up to the strip end the poles run towards (the left one
-    for d > 0, the right one for d < 0).  A singular constant factor gives inf."""
-    poles = []
-    for c, d in num:
-        if d == 0.0:
-            if _is_nonpositive_integer(c, _POLE_TOL):
-                poles.append(math.inf)
-            continue
-        end = strip.a if d > 0 else strip.b
-        for k in range(10001):
-            eta = -(c + k) / d
-            if (eta - end) * d <= 0.0:
-                break
-            poles.append(eta)
-    return tuple(poles)
-
-
 @dataclass(frozen=True)
 class FoxH:
     """An H-function identified by its Mellin kernel
@@ -190,10 +185,10 @@ class FoxH:
     pair with d = 0 is a constant Gamma factor.  The law of a product of
     independent variates has the product of their kernels (`fox_product`),
     and the law of a power X^r the kernel of X at 1 + r(eta - 1)
-    (`fox_power`).  `_poles` holds the real eta where a numerator factor has
-    a pole, and `_stack` the factors as the arrays `kernel` evaluates; both
-    are derived from the fields, so equality and hashing ignore them.
-    The hash is computed once, since every contour-cache lookup takes it.
+    (`fox_power`).  A numerator pole in the strip, less 1e-12 max(1, |end|)
+    at each finite end, raises PoleError.  `_stack` holds the factors as the
+    arrays `kernel` evaluates; it is derived from the fields, so equality and
+    hashing ignore it.  The hash is computed once, for the contour cache.
     """
 
     num: tuple  # ((c, d), ...), each G(c + d eta)
@@ -204,18 +199,18 @@ class FoxH:
     def __post_init__(self):
         object.__setattr__(self, "num", tuple((float(c), float(d)) for c, d in self.num))
         object.__setattr__(self, "den", tuple((float(c), float(d)) for c, d in self.den))
-        object.__setattr__(self, "_poles", _numerator_poles(self.num, self.strip))
         object.__setattr__(self, "_stack", _factor_stack(self.num, self.den))
         object.__setattr__(self, "_hash", hash((self.num, self.den, self.strip, self.prefactor)))
         a, b = self.strip.a, self.strip.b
-        bad = [
-            eta
-            for eta in self._poles
-            if not math.isfinite(eta)
-            or (a < eta < b and not _on_edge(eta, a) and not _on_edge(eta, b))
-        ]
-        if bad:
-            raise PoleError(f"kernel pole(s) inside the strip: {bad}")
+        lo = a + 1e-12 * max(1.0, abs(a)) if math.isfinite(a) else a  # a pole on an end lies outside
+        hi = b - 1e-12 * max(1.0, abs(b)) if math.isfinite(b) else b
+        for c, d in self.num:
+            if d:
+                eta = _strip_pole(c, d, lo, hi)
+            else:  # a singular constant factor is infinite at every eta
+                eta = self.strip.default_abscissa() if _is_nonpositive_integer(c, _POLE_TOL) else None
+            if eta is not None:
+                raise PoleError(f"G({c} + {d} eta) has a pole at eta = {eta} in the strip ({a}, {b})")
 
     def __hash__(self):
         return self._hash
@@ -256,9 +251,9 @@ def fox_h_mellin(h: FoxH, eta: float) -> float:
     """The Gamma-product kernel of `h` at a real eta strictly inside the strip."""
     if not h.strip.contains(eta):
         raise StripError(f"eta={eta} outside strip ({h.strip.a}, {h.strip.b})")
-    for c, d in h.num + h.den:
-        if _is_nonpositive_integer(c + d * eta, _POLE_TOL):
-            raise PoleError(f"gamma pole at argument {c + d * eta}")
+    y = _gamma_pole(h.num + h.den, eta)
+    if y is not None:
+        raise PoleError(f"gamma pole at argument {y}")
     return float(np.real(h.kernel(eta)))
 
 
@@ -293,8 +288,12 @@ def _contour_samples(h: FoxH, abscissa: float, panel: float) -> tuple[np.ndarray
     its Gamma arguments within _BLOCK_POINTS; the panels past the one that
     decays are dropped.  The samples depend only on (h, abscissa, panel) and
     serve any argument x afterwards, so they are memoized on that key (an LRU
-    of 256 contours; `cache_info()` counts its hits and misses).
+    of 256 contours; `cache_info()` counts its hits and misses).  An abscissa
+    on a pole of a numerator factor raises PoleError, once per contour.
     """
+    y = _gamma_pole(h.num, abscissa)
+    if y is not None:
+        raise PoleError(f"contour abscissa {abscissa} sits on a kernel pole (Gamma argument {y})")
     scale = abs(complex(np.asarray(h.kernel(complex(abscissa, 0.0))).ravel()[0]))
     if not math.isfinite(scale) or scale == 0.0:
         scale = 1.0
@@ -337,9 +336,6 @@ def fox_h_eval(h: FoxH, x: float, *, abscissa: float | None = None) -> float:
     c = h.strip.default_abscissa() if abscissa is None else float(abscissa)
     if not h.strip.contains(c):
         raise StripError(f"abscissa {c} outside strip")
-    for eta in h._poles:
-        if math.isfinite(eta) and abs(eta - c) < 1e-8:
-            raise PoleError(f"contour abscissa {c} sits on a kernel pole")
     return mellin_inverse(h, x, c)
 
 

@@ -224,7 +224,8 @@ def time_fractional_solution(gamma: float, mu: float, nu: float, x: float, t: fl
 
 def generator_apply(gamma: float, mu: float, f, x: float, h: float = 1e-4) -> float:
     """Second-order generator x^(1-g)/g^2 (x f'' + (g mu - g + 1) f') by
-    centered finite differences of step h."""
+    centered finite differences of step h: the operator whose eigenfunctions
+    are the modes of `eigen_system` (eigenvalue -(kappa_1/2)^2 at g = mu = 1)."""
     f1 = (f(x + h) - f(x - h)) / (2.0 * h)
     f2 = (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
     return x ** (1.0 - gamma) / gamma**2 * (x * f2 + (gamma * mu - gamma + 1.0) * f1)
@@ -232,7 +233,8 @@ def generator_apply(gamma: float, mu: float, f, x: float, h: float = 1e-4) -> fl
 
 def adjoint_generator_apply(gamma: float, mu: float, f, x: float, h: float = 1e-3) -> float:
     """Adjoint generator (1/g^2) d/dx [x^(g mu - g + 1) d/dx (f / w)] with
-    w(x) = x^(g mu - 1), by nested centered differences."""
+    w(x) = x^(g mu - 1), by nested centered differences: the right side of
+    the forward equation that the BVP series solves (acceptance criterion 5)."""
     gm = gamma * mu
 
     def u(s):
@@ -382,14 +384,14 @@ def space_fractional_mellin(mu: float, nu: float, beta: float, eta: float, t: fl
 
 
 def space_fractional_density(
-    mu: float, nu: float, beta: float, x: float, t: float, route: str = "double_integral"
+    mu: float, nu: float, beta: float, x: float, t: float, route: str = "foxh"
 ) -> float:
     """Density of a gamma draw of shape mu run at the mixed subordinated time,
     solving the space-fractional evolution problem.
 
-    Routes: 'double_integral' (quadrature of the gamma law against the mixed
-    time density, `f_nu_beta`, or the ratio law at nu = beta) and 'foxh'
-    (self-similar profile via the H-function object, at every nu and beta).
+    Routes: 'foxh' (self-similar profile via the H-function object, at every
+    nu and beta) and 'double_integral' (quadrature of the gamma law against
+    `f_nu_beta`, or the ratio law at nu = beta; it can fail at nu = 1).
     """
     if route not in ("double_integral", "foxh"):
         raise UnsupportedMethodError(f"unknown route {route!r}")

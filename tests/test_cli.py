@@ -149,7 +149,7 @@ class TestTabulate:
         ("h", "0.3", "foxh"),
         ("l", "0.3", "wright"),
         ("l", "0.5", "closed"),
-        ("g_nu_beta", "0.5", "double_integral"),
+        ("g_nu_beta", "0.5", "foxh"),
         ("u_time_frac", "0.5", "u_time_frac"),
     ])
     def test_method_column_names_the_route_that_ran(self, capsys, density, nu, route):
@@ -161,6 +161,17 @@ class TestTabulate:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert len(rows) == 3
         assert all(r.split(",")[3] == route for r in rows)
+
+    def test_mixed_table_at_nu_one(self, capsys):
+        # the default contour route answers where the double_integral route
+        # overflows, so the command exits 0
+        code = run_cli([
+            "--command", "tabulate", "--param", "density=g_nu_beta", "--param", "nu=1",
+            "--param", "beta=0.8", "--param", "xmin=1", "--param", "xmax=1", "--param", "nx=1", "--param", "t=1",
+        ])
+        assert code == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert float(row[2]) == pytest.approx(0.3103711, rel=1e-7) and row[3] == "foxh"
 
     @pytest.mark.parametrize("density, solver", [
         ("g_nu_beta", "space_fractional_density"),

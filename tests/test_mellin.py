@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import scipy.integrate
 from scipy.integrate import IntegrationWarning
 from scipy.special import gamma as sp_gamma, kv, loggamma as sp_loggamma
@@ -259,6 +261,84 @@ class TestFoxH:
         a, b = space_fractional_fox(1.5, 0.7, 0.8), space_fractional_fox(1.5, 0.7, 0.8)
         assert a == b and hash(a) == hash(b)
         assert a != space_fractional_fox(1.5, 0.7, 0.9)
+
+
+_ENDS = st.one_of(st.floats(-100.0, 100.0), st.sampled_from([-math.inf, math.inf]))
+
+
+class TestStripPoles:
+    # Gamma(eta) has its poles at 0, -1, -2, ...; Gamma(1 - eta) at 1, 2, 3, ...
+    @pytest.mark.parametrize("num,a,b", [
+        (((0.0, 1.0),), -20000.5, -19999.5),
+        (((0.0, 1.0),), -math.inf, -10000.5),
+        (((1.0, -1.0),), 20000.5, 20001.5),
+        (((1.0, -1.0),), 10001.5, math.inf),
+    ])
+    def test_poles_far_from_the_origin_are_found(self, num, a, b):
+        with pytest.raises(PoleError):
+            FoxH(num, (), MellinStrip(a, b))
+
+    @pytest.mark.parametrize("num,a,b", [
+        (((0.0, 1.0),), -math.inf, 1.0),
+        (((1.0, -1.0),), 1.5, 10001.5),
+    ])
+    def test_a_strip_with_many_poles_names_one(self, num, a, b):
+        with pytest.raises(PoleError) as err:
+            FoxH(num, (), MellinStrip(a, b))
+        assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize("c,d,k,inside", [
+        (-2.68, 17.17, 8, True),
+        (0.8426488249981787, -104.23558968086772, 1610, True),
+        (3.93, 21.28, 1, False),
+        (4.06, -24.18, 5, False),
+    ])
+    def test_pole_one_ulp_from_a_strip_end(self, c, d, k, inside):
+        # the strip ends one ulp inside or outside the pole -(c + k)/d, and
+        # holds only that pole or only the next one; the image of the end
+        # rounds to the wrong side of -k, so the neighbours must be tried
+        pole = -(c + k) / d
+        toward = math.copysign(math.inf, d if inside else -d)
+        end, width = math.nextafter(pole, toward), (0.5 if inside else 1.5) / abs(d)
+        lo, hi = (end - width, end) if d > 0 else (end, end + width)
+        assert mellin._strip_pole(c, d, lo, hi) == (pole if inside else -(c + k + 1) / d)
+
+    @pytest.mark.parametrize("num,abscissa", [(((0.0, 1.0),), 1e-9), (((1.0, -1.0),), 1.0 - 1e-9)])
+    def test_contour_abscissa_on_a_pole_raises(self, num, abscissa):
+        # the pole sits on the strip end (0 or 1), so the strip is valid, but
+        # the contour runs within 1e-9 of it
+        h = FoxH(num, (), MellinStrip(0.0, 1.0))
+        assert fox_h_eval(h, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        with pytest.raises(PoleError):
+            fox_h_eval(h, 1.0, abscissa=abscissa)
+
+    def test_abscissa_is_checked_once_per_contour(self, monkeypatch):
+        calls = []
+        check = mellin._gamma_pole
+        monkeypatch.setattr(mellin, "_gamma_pole", lambda *args: calls.append(args) or check(*args))
+        mellin._contour_samples.cache_clear()
+        h = FoxH(((0.0, 1.0),), (), MellinStrip(0.0, 1.0))
+        for x in (0.5, 1.0, 2.0):  # one panel length, so one contour
+            fox_h_eval(h, x, abscissa=0.3125)
+        assert len(calls) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.floats(-50.0, 50.0), d=st.one_of(st.floats(-200.0, -0.1), st.floats(0.1, 200.0)),
+           a=_ENDS, b=_ENDS)
+    def test_constructor_raises_exactly_when_a_pole_lies_in_the_strip(self, c, d, a, b):
+        assume(a < b)
+        # the strip a kernel must keep pole free: 1e-12 max(1, |end|) off each finite end
+        lo = a + 1e-12 * max(1.0, abs(a)) if math.isfinite(a) else a
+        hi = b - 1e-12 * max(1.0, abs(b)) if math.isfinite(b) else b
+        # |c| <= 50 and |d| <= 200 put every pole -(c + k)/d with k >= 20050
+        # outside [-100, 100], so these are all the poles a strip with finite
+        # ends can hold, and enough to meet an infinite end
+        poles = -(c + np.arange(21000.0)) / d
+        if np.any((lo < poles) & (poles < hi)):
+            with pytest.raises(PoleError):
+                FoxH(((c, d),), (), MellinStrip(a, b))
+        else:
+            FoxH(((c, d),), (), MellinStrip(a, b))
 
 
 # Hand-written Gamma-product transforms of the laws at time t.  The library

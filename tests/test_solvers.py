@@ -320,6 +320,19 @@ class TestSpaceFractional:
                 got = space_fractional_density(1.5, 1.0, 0.8, x, t, "foxh")
                 assert math.isfinite(got) and got > 0.0
 
+    def test_default_route_answers_at_nu_one(self):
+        # the contour is the default; the double_integral route raises
+        # "power series overflow" at this point
+        assert space_fractional_density(1.0, 1.0, 0.8, 1.0, 1.0) == pytest.approx(0.3103711, rel=1e-7)
+
+    @pytest.mark.parametrize("mu,nu,beta,x", [
+        (1.0, 0.5, 0.5, 50.0), (1.0, 0.7, 0.5, 200.0), (1.5, 0.6, 0.9, 1e-3), (2.0, 0.9, 0.9, 40.0),
+    ])
+    def test_default_contour_agrees_with_double_integral_in_the_tails(self, mu, nu, beta, x):
+        got = space_fractional_density(mu, nu, beta, x, 1.0)
+        assert got == space_fractional_density(mu, nu, beta, x, 1.0, "foxh")
+        assert got == pytest.approx(space_fractional_density(mu, nu, beta, x, 1.0, "double_integral"), rel=1e-7)
+
     def test_moment_slope_from_transform(self):
         ts = np.array([0.5, 1.0, 2.0, 4.0])
         for beta in (0.5, 1.0):
