@@ -135,7 +135,7 @@ def cmd_solve_bvp(params, seed, out, fmt):
         raise UnsupportedMethodError(f"unknown initial datum preset {preset!r}")
     spec = solvers.BVPSpec(gamma, mu, nu, m0, n_terms=n_terms)
     sol = solvers.sturm_liouville_solution(spec)
-    rows = [(float(x), t, sol(float(x), t)) for t in ts for x in xs]
+    rows = [(float(x), t, v) for t in ts for x, v in zip(xs, sol(xs, t).tolist())]
     _write_rows(out, ("x", "t", "value"), rows, fmt)
     if out is not None:
         _write_json(out + ".eigen.json", sol.eigen_system_with_coefficients().to_json_dict())

@@ -23,6 +23,7 @@ rule.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -137,18 +138,26 @@ def _slope_jump_sum(gf: GridFunction, a: float, xs: np.ndarray, side: str) -> np
     _BLOCK_ROWS rows over the nodes on that side of the block's first point
     ("right") or last point ("left"); a node on the near side of a row has a
     negative difference, which is clipped to 0 before the power, so it adds
-    nothing."""
+    nothing.  A block of one point has no such node and is not clipped.  The
+    power is taken in place as exp((2-a) log d), which numpy evaluates
+    faster than a general power; a clipped zero gives log 0 = -inf and then
+    exp(-inf) = 0.  Only calls with more than one point can meet log 0, so
+    only they pay for the errstate that silences it."""
     out = np.empty(xs.size)
-    for k in range(0, xs.size, _BLOCK_ROWS):
-        block = xs[k:k + _BLOCK_ROWS, None]
-        if side == "right":
-            i = gf.nodes.searchsorted(block[0, 0], side="right")
-            d, kappa = gf.nodes[i:] - block, gf._slope_jumps[i:]
-        else:
-            i = gf.nodes.searchsorted(block[-1, 0])
-            d, kappa = block - gf.nodes[:i], gf._slope_jumps[:i]
-        np.maximum(d, 0.0, out=d)
-        out[k:k + _BLOCK_ROWS] = np.power(d, 2.0 - a, out=d) @ kappa
+    with np.errstate(divide="ignore") if xs.size > 1 else contextlib.nullcontext():
+        for k in range(0, xs.size, _BLOCK_ROWS):
+            block = xs[k:k + _BLOCK_ROWS, None]
+            if side == "right":
+                i = gf.nodes.searchsorted(block[0, 0], side="right")
+                d, kappa = gf.nodes[i:] - block, gf._slope_jumps[i:]
+            else:
+                i = gf.nodes.searchsorted(block[-1, 0])
+                d, kappa = block - gf.nodes[:i], gf._slope_jumps[:i]
+            if block.size > 1:
+                np.maximum(d, 0.0, out=d)
+            np.log(d, out=d)
+            d *= 2.0 - a
+            out[k:k + _BLOCK_ROWS] = np.exp(d, out=d) @ kappa
     return out
 
 

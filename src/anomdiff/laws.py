@@ -344,9 +344,15 @@ def compose_invariance_gap(mu1: MuVector, mu2: MuVector, xs, ts, gamma: float = 
 # one-sided stable law, its inverse, ratio and mixed laws
 
 
-def _chain_order(nu: float) -> int:
+def _chain_length(nu: float) -> int:
+    """n >= 1 with nu = 1/(n+1) to within 1e-12, or 0 when nu has no such form."""
     n = round(1.0 / nu) - 1
-    if n < 1 or abs(nu - 1.0 / (n + 1)) > 1e-12:
+    return n if n >= 1 and abs(nu - 1.0 / (n + 1)) <= 1e-12 else 0
+
+
+def _chain_order(nu: float) -> int:
+    n = _chain_length(nu)
+    if not n:
         raise UnsupportedMethodError(f"nu={nu} is not of the form 1/(n+1)")
     return n
 
@@ -363,11 +369,7 @@ def resolve_method(law: str, nu: float, method: str = "auto") -> str:
         return method
     if nu == 0.5:
         return "closed"
-    try:
-        _chain_order(nu)
-        return "conv"
-    except UnsupportedMethodError:
-        return _AUTO_FALLBACK[law]
+    return "conv" if _chain_length(nu) else _AUTO_FALLBACK[law]
 
 
 @lru_cache(maxsize=256)

@@ -7,10 +7,11 @@ recovered by quadrature along a vertical contour inside the fundamental
 strip, which is checked for poles in closed form, one test per factor.
 Kernels of products and powers of variates are formed from their factors'
 kernels (`fox_product`, `fox_power`).  The kernel's complex log-Gamma is
-the module's own (`_loggamma`, Stirling's series after an upward shift),
-so the contour route loads no SciPy module.  The contour samples of a
-kernel are memoized on (kernel, abscissa, panel), so an evaluation on a
-known contour costs one short phase sum.  `fox_h_series` sums a kernel's
+the module's own (`_loggamma`, Stirling's series after an upward shift,
+or after a reflection far left of the origin), so the contour route loads
+no SciPy module.  The contour samples of a kernel are memoized on
+(kernel, abscissa, panel), so an evaluation on a known contour costs one
+short phase sum.  `fox_h_series` sums a kernel's
 residues instead, left or right of the contour, from coefficients
 memoized on (kernel, side).  `quad` is the one
 adaptive-quadrature helper of the library: it checks every error estimate.
@@ -101,6 +102,10 @@ def _log(z):
     return out
 
 
+_REFLECT_RE = -64.0  # reflect z with Re z below this ...
+_REFLECT_IM = 200.0  # ... and |Im z| up to this, where |sin(pi z)| <= e^(200 pi) stays finite
+
+
 def _loggamma(z):
     """A logarithm of Gamma(z) at complex z (an array), up to an added 2 pi i k.
 
@@ -111,16 +116,43 @@ def _loggamma(z):
     round-off.  Each chunk's eight factors are multiplied and divided by w^8
     before one log, so that the shift and the 8n log w inside
     (w - 1/2) log w cancel before rounding: the error at |z| < 3 is SciPy's,
-    about 4e-15.  No product overflows below |z| ~ 1e38.  No reflection
-    formula is used: sin(pi z) overflows at the heights a contour reaches.
-    The cost and the round-off grow with -Re z, one chunk per 8: at
-    Re z = -1e4 a call is 1.3e-10 off.  The kernels of the laws keep their
-    arguments near or right of 0 inside their strips.  At a pole
-    (z = 0, -1, ...) the value is +inf, so exp gives G = inf and 1/G = 0.
+    about 4e-15.  No product overflows below |z| ~ 1e38.  Far left of the
+    origin, at Re z < -64 with |Im z| <= 200, the reflection
+    G(z) = pi / (sin(pi z) G(1 - z)) replaces the shift, so the cost stays
+    bounded; higher up sin(pi z) overflows, and the shift is kept.  The
+    kernels of the laws keep their arguments near or right of 0 inside
+    their strips and never reflect.  At a pole (z = 0, -1, ...) the value is
+    +inf, so exp gives G = inf and 1/G = 0.
     """
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.ravel()
     lowest = np.fmin.reduce(z.real, initial=_STIRLING_MIN_RE)
+    if lowest < _REFLECT_RE:
+        far = (z.real < _REFLECT_RE) & (np.abs(z.imag) <= _REFLECT_IM)
+        if far.any():
+            out = np.empty_like(z)
+            near = z[~far]
+            out[~far] = _loggamma_shifted(near, np.fmin.reduce(near.real, initial=_STIRLING_MIN_RE))
+            out[far] = _loggamma_reflected(z[far])
+            return out.reshape(shape)
+    return _loggamma_shifted(z, lowest).reshape(shape)
+
+
+def _loggamma_reflected(z):
+    """log pi - log sin(pi z) - log G(1 - z) for Re z < -64.  sin(pi z) is
+    (-1)^n sin(pi (z - n)) with n the nearest integer, so that pi z is never
+    rounded at large |z|; (-1)^n adds i pi (n mod 2)."""
+    n = np.round(z.real)
+    with np.errstate(divide="ignore"):  # sin(0) = 0 at a pole
+        out = math.log(math.pi) - _log(np.sin(np.pi * (z - n)))
+    out.imag -= np.pi * np.fmod(n, 2.0)
+    out -= _loggamma_shifted(1.0 - z, _STIRLING_MIN_RE)  # Re (1 - z) > 65: no chunks
+    return out
+
+
+def _loggamma_shifted(z, lowest: float):
+    """`_loggamma` of the 1-d array z by the chunked shift; `lowest` is
+    min(8, min Re z), which sets the number of chunks."""
     chunks = max(0, math.ceil((_STIRLING_MIN_RE - lowest) / 8.0))
     # log(0) = -inf at a pole; a NaN entry gives NaN, as SciPy's does, in silence
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -147,7 +179,7 @@ def _loggamma(z):
         out -= w
         out += series
         out += 0.5 * math.log(2.0 * math.pi)
-    return out.reshape(shape)
+    return out
 
 
 def _factor_stack(num, den):

@@ -164,18 +164,24 @@ class _SeriesSolution:
         self.es = eigen_system(spec.gamma, spec.mu, spec.n_terms)
         self.coeffs = project_coefficients(self.es, spec.initial_datum)
 
-    def __call__(self, x: float, t: float) -> float:
-        if not 0.0 < x < 1.0:
+    def __call__(self, x, t: float):
+        """The series at one time t and a point x, or a 1-d array of points
+        with one set of time factors E_nu(.) shared by all of them; each
+        entry of an array equals the call at that point."""
+        scalar = np.ndim(x) == 0
+        x = np.asarray(x, dtype=float)
+        if not np.all((0.0 < x) & (x < 1.0)):
             raise DomainError("x must lie in (0, 1)")
         if t < 0:
             raise DomainError("t must be non-negative")
         es, spec = self.es, self.spec
         lam = (np.asarray(es.zeros) / 2.0) ** 2
-        acc = 0.0
+        acc = np.zeros(x.shape)
         for k in range(spec.n_terms):
             tf = mittag_leffler(MLParams(spec.nu), -float(lam[k]) * t**spec.nu)
-            acc += self.coeffs[k] * tf * float(es.eigenfunction(k, x)) / es.norms[k]
-        return float(es.weight(x)) * acc
+            acc += self.coeffs[k] * tf * es.eigenfunction(k, x) / es.norms[k]
+        out = es.weight(x) * acc
+        return float(out) if scalar else out
 
     def eigen_system_with_coefficients(self) -> EigenSystem:
         return self.es.with_coefficients(self.coeffs)
@@ -272,7 +278,9 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
     This is the fractional power of (minus) the adjoint generator for unit
     shape index.  The inner right derivative is tabulated on a geometric
     mesh spanning the grid of f, by one call of the array-valued grid kernel
-    on the derivative of x^(1-mu) f after the tail check of `rl_right`, and
+    after the tail check of `rl_right`.  The kernel integrates the derivative
+    of x^(1-mu) f, taken by the product rule from the cached spline
+    derivative of f, so no spline of x^(1-mu) f is built.  The inner stage is
     interpolated by a cubic spline S in u = log s (the outer derivative needs
     a C^1 integrand to keep its accuracy as nu -> 1).  The spline continues
     as a power law v0 (s/s0)^p below the mesh and as zero beyond it.
@@ -293,12 +301,17 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
     from scipy.interpolate import CubicSpline
 
     inner_decay = f.extrapolation_decay + (1.0 - mu) if math.isfinite(f.extrapolation_decay) else -np.inf
-    g1 = GridFunction(f.nodes, f.nodes ** (1.0 - mu) * f.values, inner_decay)
     if not inner_decay < -nu:
         raise DivergentTailError(f"tail exponent {inner_decay} too weak for right derivative of order {nu}")
+    # (s^(1-mu) f)' = s^(1-mu) (f' + (1-mu) f / s), with f' the cached spline
+    # derivative of f
+    nodes = f.nodes
+    g1_prime = GridFunction(
+        nodes, nodes ** (1.0 - mu) * (f.derivative().values + (1.0 - mu) * f.values / nodes), inner_decay - 1.0
+    )
     gam = gamma_fn(1.0 - nu)
-    mesh = np.geomspace(f.nodes[0], f.nodes[-1] * 0.999, n_mesh)
-    inner = -_grid_right_alg_integral(g1.derivative(), nu, mesh) / gam
+    mesh = np.geomspace(nodes[0], nodes[-1] * 0.999, n_mesh)
+    inner = -_grid_right_alg_integral(g1_prime, nu, mesh) / gam
     mid_vals = mesh ** (mu - 1.0 + nu) * inner
     u = np.log(mesh)
     spline = CubicSpline(u, mid_vals)

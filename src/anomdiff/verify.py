@@ -328,7 +328,7 @@ def _check_bvp_series(seed):
     spec = solvers.BVPSpec(1.0, 1.0, 0.5, m0, n_terms=50)
     sol = solvers.sturm_liouville_solution(spec)
     boundary = abs(sol(0.999, 0.5))
-    peak = max(abs(sol(x, 0.5)) for x in np.linspace(0.05, 0.95, 19))
+    peak = float(np.max(np.abs(sol(np.linspace(0.05, 0.95, 19), 0.5))))
     worst = max(worst, boundary / (100.0 * peak))  # scaled into the shared threshold
     return worst, 1e-4
 

@@ -396,6 +396,27 @@ def test_fractional_power_operator_calls_no_scalar_kernel(monkeypatch):
     assert math.isfinite(op(1.0))
 
 
+def test_fractional_power_operator_builds_only_its_mesh_spline(monkeypatch):
+    # once f's spline derivative is cached, the inner stage reuses it: a build
+    # constructs the n_mesh-point spline of the middle stage and nothing else
+    import scipy.interpolate
+
+    nodes = np.geomspace(1e-5, 50.0, 2500)
+    gf = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)
+    gf.derivative()
+    built = []
+    spline = scipy.interpolate.CubicSpline
+
+    def counting_spline(x, y, *args, **kwargs):
+        built.append(len(x))
+        return spline(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting_spline)
+    op = fractional_power_operator(2.0, 0.5, gf, n_mesh=150)
+    assert built == [150]
+    assert math.isfinite(op(1.0))
+
+
 def test_fractional_power_operator_build_memory():
     # the kernel works in blocks of 8 rows, so a build peaks near 0.6 MB
     # (0.4 MB with one rl_right call per mesh point); one 192 x 2500
@@ -415,15 +436,15 @@ def test_fractional_power_operator_build_memory():
 
 
 def test_fractional_power_operator_values_pinned():
-    # the operator as built on segment-by-segment kernels, on the benchmark's
-    # x e^-x grid
+    # the operator on the benchmark's x e^-x grid, its inner stage built from
+    # the cached spline derivative of f by the product rule
     nodes = np.geomspace(1e-5, 50.0, 2500)
     gf = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)
     pinned = {
-        0.3: (-0.2183842597708359, -0.35609395264650895, -0.19046967517099656, 0.03825720113853301),
-        0.5: (-0.24229955659207278, -0.35514044009149504, -0.1400049013517859, 0.06882160520661565),
-        0.8: (-0.29349310646790205, -0.36090397098453325, -0.06036826359531949, 0.09513002504824021),
-        0.95: (-0.32775388741056033, -0.36598372526344836, -0.015868230164617515, 0.10044168367287365),
+        0.3: (-0.21838425978040918, -0.3560939526961543, -0.19046967531930808, 0.03825720098901942),
+        0.5: (-0.24229955659631777, -0.355140440118416, -0.14000490147763373, 0.06882160508792862),
+        0.8: (-0.2934931064666315, -0.3609039709784035, -0.06036826369604687, 0.09513002496263286),
+        0.95: (-0.3277538874078988, -0.3659837252399249, -0.01586823025513045, 0.10044168360067356),
     }
     for nu, want in pinned.items():
         op = fractional_power_operator(2.0, nu, gf)

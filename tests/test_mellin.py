@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import scipy.integrate
 from scipy.integrate import IntegrationWarning
-from scipy.special import gamma as sp_gamma, kv, loggamma as sp_loggamma
+from scipy.special import gamma as sp_gamma, gammaln, kv, loggamma as sp_loggamma
 
 from anomdiff.errors import ConvergenceError, DomainError, PoleError, StripError, UnsupportedMethodError
 from anomdiff import mellin
@@ -708,6 +708,20 @@ class TestLogGamma:
         x = -(np.arange(60.0)[:, None] + np.array([0.1, 0.5, 0.9])).ravel()
         ratio = np.exp(mellin._loggamma(x.astype(complex))) / sp_gamma(x)
         assert np.max(np.abs(ratio - 1.0)) <= 1.5e-13
+
+    def test_reflection_far_left_of_the_origin(self):
+        # Re z < -64 reflects, one call per point instead of one chunk per 8
+        # of -Re z.  |log G| reaches 1e6 at Re z = -1e5, where doubles are
+        # 2.3e-10 apart, so the bound is 1e-12 or two spacings of SciPy's
+        # value, whichever is larger; the shift was 4e-9 off there
+        z = (np.array([-1e2, -1e3, -1e4, -1e5])[:, None] + 0.37 + 1j * np.array([0.3, 50.0])).ravel()
+        want = sp_loggamma(z)
+        spacing = np.maximum(np.spacing(np.abs(want.real)), np.spacing(np.abs(want.imag)))
+        assert np.all(_exp_gap(z) <= np.maximum(1e-12, 2.0 * spacing))
+        # at a negative integer log|G| is +inf, as SciPy's real gammaln gives
+        poles = np.array([-65.0, -1e3, -1e5])
+        assert mellin._loggamma(poles.astype(complex)).real.tolist() == [math.inf] * 3
+        assert gammaln(poles).tolist() == [math.inf] * 3
 
     def test_pole_gives_inf_and_its_reciprocal_zero(self):
         lg = mellin._loggamma(np.array([0.0, -3.0, 2.0], dtype=complex))

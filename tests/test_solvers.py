@@ -107,6 +107,19 @@ class TestSturmLiouville:
         peak = max(abs(sol(x, 0.5)) for x in np.linspace(0.05, 0.95, 19))
         assert abs(sol(0.999, 0.5)) <= 1e-2 * peak
 
+    @pytest.mark.parametrize("nu", [0.5, 1.0])
+    def test_array_call_equals_scalar_calls(self, nu):
+        # one set of time factors per t, and the same per-term sum at each x
+        spec = BVPSpec(1.0, 1.0, nu, lambda x: x * (1.0 - x), n_terms=50)
+        sol = sturm_liouville_solution(spec)
+        xs = np.linspace(0.05, 0.95, 19)
+        for t in (0.0, 0.1, 0.5, 2.0):
+            got = sol(xs, t)
+            assert got.shape == xs.shape
+            assert got.tolist() == [sol(float(x), t) for x in xs]
+        with pytest.raises(DomainError, match="x must lie in"):
+            sol(np.array([0.5, 1.0]), 0.5)
+
     def test_initial_datum_l2_error_decreases(self):
         # weighted reconstruction error at t=0 shrinks with the mode count
         errs = []
