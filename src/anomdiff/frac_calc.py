@@ -15,15 +15,14 @@ right, v_0 y^(1-a)/(1-a) on the left.  The interpolant is clamped to v_0
 below the first node.  Past the last node X the right side continues as the
 power law f(X) (s/X)^p in closed form; the left side is defined only up to
 X.  The grid kernels take a 1-d array of points and sum the slope jumps for
-a block of points at once; the scalar operators pass their point, and
-rl_left its difference stencil, through them.  Plain callables use
+a block of points at once, or point by point for the few points of the
+scalar operators and of rl_left's difference stencil.  Plain callables use
 algebraic-weight quadrature; power laws are differentiated by the exact
 rule.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -107,15 +106,13 @@ class GridFunction:
         return float(out[0]) if scalar else out
 
     def derivative(self) -> "GridFunction":
-        """Cubic-spline derivative at the nodes (built once and cached)."""
+        """The slopes at the nodes of the not-a-knot cubic spline through the
+        samples (its third derivative continuous at the second and the
+        second-to-last node), as a GridFunction on the same nodes, built once
+        and cached.  Grids of fewer than 4 nodes take np.gradient instead."""
         if self._derivative is None:
             if self.nodes.size >= 4:
-                from scipy.interpolate import CubicSpline
-
-                # row c[2] is each piece's slope at its left node; the last
-                # node is the right end of the last piece
-                spline = CubicSpline(self.nodes, self.values)
-                dv = np.append(spline.c[2], spline(self.nodes[-1], 1))
+                dv = _spline_slopes(self.nodes, self.values)
             else:
                 dv = np.gradient(self.values, self.nodes)
             decay = self.extrapolation_decay
@@ -129,36 +126,96 @@ class GridFunction:
         return float(self.nodes[-1])
 
 
+def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes s of the not-a-knot cubic spline through (x, y), n >= 4
+    strictly increasing nodes (de Boor, A Practical Guide to Splines, 2001,
+    ch. IV).  On each segment the spline is the cubic Hermite interpolant of
+    the values and slopes at its ends.  Continuity of the second derivative
+    at the interior nodes gives the rows
+
+      dx_i s_(i-1) + 2 (dx_(i-1) + dx_i) s_i + dx_(i-1) s_(i+1)
+        = 3 (dx_i m_(i-1) + dx_(i-1) m_i),
+
+    with dx_i = x_(i+1) - x_i and m_i the chord slopes, and continuity of
+    the third derivative at x_1 and x_(n-2) the two end rows; these are the
+    rows scipy's CubicSpline assembles.  The system is solved by Gaussian
+    elimination without pivoting, in O(n): the interior rows are diagonally
+    dominant, and the first end row has the same leading entry as the row
+    below it, so eliminating with it leaves that row dominant too, and every
+    pivot stays positive."""
+    n = x.size
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    lower, diag, upper, rhs = np.empty((4, n))
+    lower[1:-1] = dx[1:]
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    upper[1:-1] = dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d
+    d = x[-1] - x[-3]
+    lower[-1], diag[-1] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * m[-2] + (2.0 * d + dx[-1]) * dx[-2] * m[-1]) / d
+    # elimination on Python floats: per row, a loop step costs less than a
+    # numpy call
+    lo, di, up, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    pivot, acc = di[0], r[0]
+    for i in range(1, n):
+        mult = lo[i] / pivot
+        pivot = di[i] = di[i] - mult * up[i - 1]
+        acc = r[i] = r[i] - mult * acc
+    v = r[-1] = acc / pivot
+    for i in range(n - 2, -1, -1):
+        v = r[i] = (r[i] - up[i] * v) / di[i]
+    return np.array(r)
+
+
 _BLOCK_ROWS = 8  # points per block of the slope-jump sum: a block is 8 x n differences
 
 
 def _slope_jump_sum(gf: GridFunction, a: float, xs: np.ndarray, side: str) -> np.ndarray:
     """sum_j kappa_j |x-s_j|^(2-a) over the nodes s_j on the `side` of each x,
-    for a 1-d array of points in ascending order.  The points go in blocks of
-    _BLOCK_ROWS rows over the nodes on that side of the block's first point
-    ("right") or last point ("left"); a node on the near side of a row has a
-    negative difference, which is clipped to 0 before the power, so it adds
-    nothing.  A block of one point has no such node and is not clipped.  The
-    power is taken in place as exp((2-a) log d), which numpy evaluates
-    faster than a general power; a clipped zero gives log 0 = -inf and then
-    exp(-inf) = 0.  Only calls with more than one point can meet log 0, so
-    only they pay for the errstate that silences it."""
+    for a 1-d array of points in ascending order.  Arrays of _BLOCK_ROWS
+    points or more go in blocks of _BLOCK_ROWS rows over the nodes on that
+    side of the block's first point ("right") or last point ("left"); a node
+    on the near side of a row has a negative difference, which is clipped to
+    0 before the power, so it adds nothing.  Shorter arrays, the one point
+    of the scalar operators and the difference stencil of rl_left, go point
+    by point over each point's own nodes, with no clip.  The power is taken
+    in place as exp((2-a) log d), which numpy evaluates faster than a
+    general power; a clipped zero gives log 0 = -inf and then
+    exp(-inf) = 0, so only the blocked sums pay for the errstate that
+    silences it."""
     out = np.empty(xs.size)
-    with np.errstate(divide="ignore") if xs.size > 1 else contextlib.nullcontext():
+    nodes, jumps = gf.nodes, gf._slope_jumps
+    if xs.size < _BLOCK_ROWS:
+        for k, x in enumerate(xs.tolist()):
+            if side == "right":
+                i = nodes.searchsorted(x, side="right")
+                out[k] = _power_dot(nodes[i:] - x, jumps[i:], 2.0 - a)
+            else:
+                i = nodes.searchsorted(x)
+                out[k] = _power_dot(x - nodes[:i], jumps[:i], 2.0 - a)
+        return out
+    with np.errstate(divide="ignore"):
         for k in range(0, xs.size, _BLOCK_ROWS):
             block = xs[k:k + _BLOCK_ROWS, None]
             if side == "right":
-                i = gf.nodes.searchsorted(block[0, 0], side="right")
-                d, kappa = gf.nodes[i:] - block, gf._slope_jumps[i:]
+                i = nodes.searchsorted(block[0, 0], side="right")
+                d, kappa = nodes[i:] - block, jumps[i:]
             else:
-                i = gf.nodes.searchsorted(block[-1, 0])
-                d, kappa = block - gf.nodes[:i], gf._slope_jumps[:i]
-            if block.size > 1:
-                np.maximum(d, 0.0, out=d)
-            np.log(d, out=d)
-            d *= 2.0 - a
-            out[k:k + _BLOCK_ROWS] = np.exp(d, out=d) @ kappa
+                i = nodes.searchsorted(block[-1, 0])
+                d, kappa = block - nodes[:i], jumps[:i]
+            out[k:k + _BLOCK_ROWS] = _power_dot(np.maximum(d, 0.0, out=d), kappa, 2.0 - a)
     return out
+
+
+def _power_dot(d: np.ndarray, kappa: np.ndarray, q: float):
+    """d^q @ kappa for d >= 0, with d^q taken in place as exp(q log d)."""
+    np.log(d, out=d)
+    d *= q
+    return np.exp(d, out=d) @ kappa
 
 
 def _grid_left_alg_integral(gf: GridFunction, a: float, ys: np.ndarray) -> np.ndarray:

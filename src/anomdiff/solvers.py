@@ -11,6 +11,7 @@ identities.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergentTailError, DomainError, StripError, UnsupportedMethodError
-from .frac_calc import GridFunction, _grid_right_alg_integral
+from .frac_calc import GridFunction, _grid_right_alg_integral, _power_dot, _spline_slopes
 from .laws import (
     GGLaw,
     _law_density,
@@ -254,21 +255,48 @@ def adjoint_generator_apply(gamma: float, mu: float, f, x: float, h: float = 1e-
 
 _RULE_NODES = 8  # Gauss nodes per mesh segment and on the singular stretch
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(_RULE_NODES)
+# The cubic Hermite form on a segment of width h, at tau = (t + 1)/2 for the
+# Gauss-Legendre nodes t: with chord slope m and end slopes s0, s1, the
+# spline is y0 + h [m, s0, s1] @ _HERMITE_VALUE and its derivative
+# [m, s0, s1] @ _HERMITE_SLOPE, one column per node.
+_TAU = 0.5 * (_GL_T + 1.0)
+_HERMITE_VALUE = np.array([_TAU**2 * (3.0 - 2.0 * _TAU), _TAU * (1.0 - _TAU) ** 2, _TAU**2 * (_TAU - 1.0)])
+_HERMITE_SLOPE = np.array([6.0 * _TAU * (1.0 - _TAU), (1.0 - _TAU) * (1.0 - 3.0 * _TAU), _TAU * (3.0 * _TAU - 2.0)])
 
 
+def _mesh_spline(u: np.ndarray, y: np.ndarray):
+    """The not-a-knot cubic spline S through (u, y), n >= 4 nodes: S and S'
+    at the Gauss-Legendre nodes of every segment (one row per segment, a
+    fixed combination of the segment's ends, with no search), and S' on
+    segment i as the coefficients (s_i, c1_i, c2_i) of s_i + t (c1_i + t c2_i)
+    in t = u - u_i, one row per segment."""
+    du = np.diff(u)
+    chord = np.diff(y) / du
+    slopes = _spline_slopes(u, y)
+    s0, s1 = slopes[:-1], slopes[1:]
+    hermite = np.stack([chord, s0, s1], axis=1)
+    values = y[:-1, None] + du[:, None] * (hermite @ _HERMITE_VALUE)
+    poly = np.stack([s0, 2.0 * (3.0 * chord - 2.0 * s0 - s1) / du, 3.0 * (s0 + s1 - 2.0 * chord) / du**2], axis=1)
+    return values, hermite @ _HERMITE_SLOPE, poly
+
+
+@lru_cache(maxsize=32)
 def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss rule for the weight (1-t)^(-a)
-    on [-1, 1], by Golub-Welsch on the Jacobi matrix of P^(-a, 0).  It agrees
-    with scipy's roots_jacobi, but numpy's eigh does not page in
-    scipy.linalg's LAPACK, which adds about 0.6 MB to the resident set
-    (scipy 1.17, x86-64 Linux)."""
+    on [-1, 1], by Golub-Welsch on the Jacobi matrix of P^(-a, 0), cached
+    as read-only arrays.  It agrees with scipy's roots_jacobi, but numpy's
+    eigh does not page in scipy.linalg's LAPACK, which adds about 0.6 MB to
+    the resident set (scipy 1.17, x86-64 Linux)."""
     k = np.arange(n)
     c = 2.0 * k - a
     diag = -a * a / (c * (c + 2.0))
     k, c = k[1:], c[1:]
     off = np.sqrt(4.0 * k * k * (k - a) ** 2 / (c * c * (c + 1.0) * (c - 1.0)))
     t, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return t, 2.0 ** (1.0 - a) / (1.0 - a) * v[0] ** 2
+    w = 2.0 ** (1.0 - a) / (1.0 - a) * v[0] ** 2
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int = 192):
@@ -281,9 +309,10 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
     after the tail check of `rl_right`.  The kernel integrates the derivative
     of x^(1-mu) f, taken by the product rule from the cached spline
     derivative of f, so no spline of x^(1-mu) f is built.  The inner stage is
-    interpolated by a cubic spline S in u = log s (the outer derivative needs
-    a C^1 integrand to keep its accuracy as nu -> 1).  The spline continues
-    as a power law v0 (s/s0)^p below the mesh and as zero beyond it.
+    interpolated by the not-a-knot cubic spline S in u = log s whose node
+    slopes also give `GridFunction.derivative` (the outer derivative needs a
+    C^1 integrand to keep its accuracy as nu -> 1).  The spline continues as
+    a power law v0 (s/s0)^p below the mesh and as zero beyond it.
 
     The outer stage is a fixed product rule on the derivative form
     D^nu m(x) = [m(0+) x^-nu + int_0^x (x-s)^-nu m'(s) ds] / Gamma(1-nu),
@@ -292,14 +321,16 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
     holds the singular end and starts at least one segment below x, and
     v0 x^-nu 2F1(nu, p; p+1; s0/x) in closed form for the power-law head with
     its m(0+) term (valid for p > -1).  Nodes and weights are built once, and
-    no adaptive quadrature runs.  Past the point where the middle stage
+    no adaptive quadrature runs: S' at the Gauss-Legendre nodes is a fixed
+    combination of each segment's end values and slopes, and on the last
+    stretch a quadratic per segment.  Past the point where the middle stage
     has decayed, the operator continues with its algebraic tail, whose
     moments come from the same Gauss-Legendre rule.
     """
     if not 0 < nu < 1:
         raise DomainError("nu must lie in (0, 1)")
-    from scipy.interpolate import CubicSpline
-
+    if n_mesh < 4:
+        raise DomainError("n_mesh must be at least 4")
     inner_decay = f.extrapolation_decay + (1.0 - mu) if math.isfinite(f.extrapolation_decay) else -np.inf
     if not inner_decay < -nu:
         raise DivergentTailError(f"tail exponent {inner_decay} too weak for right derivative of order {nu}")
@@ -314,7 +345,7 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
     inner = -_grid_right_alg_integral(g1_prime, nu, mesh) / gam
     mid_vals = mesh ** (mu - 1.0 + nu) * inner
     u = np.log(mesh)
-    spline = CubicSpline(u, mid_vals)
+    spline_q, slope_q, slope_poly = _mesh_spline(u, mid_vals)
     if mid_vals[0] > 0 and mid_vals[1] > 0:
         head_pow = (math.log(mid_vals[1]) - math.log(mid_vals[0])) / (u[1] - u[0])
     else:
@@ -324,11 +355,13 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
 
     # Gauss-Legendre nodes in u on every mesh segment (one row per segment)
     half = 0.5 * np.diff(u)[:, None]
-    uq = u[:-1, None] + half * (_GL_T + 1.0)
-    sq = np.exp(uq)
+    sq = np.exp(u[:-1, None] + half * (_GL_T + 1.0))
     wq = half * _GL_W
-    slope_w = wq * spline(uq, 1)
-    tj, wj = _gauss_jacobi(_RULE_NODES, nu)
+    slope_w = wq * slope_q
+    # the last stretch runs on Python floats, which for its 8 points cost
+    # less than numpy calls
+    rule = list(zip(*(a.tolist() for a in _gauss_jacobi(_RULE_NODES, nu))))
+    mesh_list, u_list, slope_poly = mesh.tolist(), u.tolist(), slope_poly.tolist()
 
     # once the middle stage has decayed, the output has the algebraic tail
     #   (1/Gamma(1-nu)) sum_k nu(nu+1)...(nu+k)/k! M_k x^(-nu-k-1),
@@ -344,7 +377,7 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
             break
     x_switch = mesh[switch_idx] if switch_idx is not None and switch_idx < len(mesh) else None
     if x_switch is not None:
-        mass_w = wq * spline(uq) * sq
+        mass_w = wq * spline_q * sq
         coeffs = []
         fac = nu
         for k in range(n_terms):
@@ -360,18 +393,29 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
     def apply(x: float) -> float:
         if x_switch is not None and x >= x_switch:
             return tail(x)
-        if not mesh[0] < x < mesh[-1]:
+        if not mesh_list[0] < x < mesh_list[-1]:
             raise DomainError("x outside the tabulated range of the operator")
-        j = int(np.searchsorted(mesh, x)) - 1  # mesh[j] < x <= mesh[j + 1]
-        if j > 0 and x - mesh[j] < mesh[j] - mesh[j - 1]:
+        j = bisect.bisect_left(mesh_list, x) - 1  # mesh[j] < x <= mesh[j + 1]
+        start = mesh_list[j]
+        if j > 0 and x - start < start - mesh_list[j - 1]:
             # the kernel's singularity sits just past segment j - 1, where its
             # Gauss-Legendre rule loses accuracy: the last stretch takes it too
             j -= 1
-        head = mid_vals[0] * x**-nu * sp.hyp2f1(nu, head_pow, head_pow + 1.0, mesh[0] / x)
-        body = np.sum(slope_w[:j] * (x - sq[:j]) ** -nu)
-        hw = 0.5 * (x - mesh[j])
-        s = mesh[j] + hw * (tj + 1.0)
-        last = hw ** (1.0 - nu) * (wj @ (spline(np.log(s), 1) / s))
+            start = mesh_list[j]
+        head = mid_vals[0] * x**-nu * sp.hyp2f1(nu, head_pow, head_pow + 1.0, mesh_list[0] / x)
+        body = _power_dot((x - sq[:j]).ravel(), slope_w[:j].ravel(), -nu)
+        # the stretch lies in segment j, or in j and j + 1 after the shift
+        hw = 0.5 * (x - start)
+        u_next = u_list[j + 1]
+        last = 0.0
+        for node, weight in rule:
+            s = start + hw * (node + 1.0)
+            us = math.log(s)
+            i = j + 1 if us > u_next else j
+            c0, c1, c2 = slope_poly[i]
+            t = us - u_list[i]
+            last += weight * (c0 + t * (c1 + t * c2)) / s
+        last *= hw ** (1.0 - nu)
         return -float(head + body + last) / gam
 
     return apply

@@ -171,20 +171,21 @@ def _check_time_laplace(seed):
 
 def _check_conv_closed_forms(seed):
     worst = 0.0
-    for x in np.linspace(0.5, 2.5, 5):
-        for t in np.linspace(0.5, 2.5, 5):
-            ge = laws.econv(1.0, 0.5, 0.75, float(x), float(t))
+    half, three_q, one, inv_one = GGLaw(1.0, 0.5), GGLaw(1.0, 0.75), GGLaw(1.0, 1.0), GGLaw(-1.0, 1.0)
+    for x in np.linspace(0.5, 2.5, 5).tolist():
+        for t in np.linspace(0.5, 2.5, 5).tolist():
+            ge = laws.econv(1.0, 0.5, 0.75, x, t)
             gq = mellin.mellin_convolve(
-                lambda u: laws.gg_density(GGLaw(1.0, 0.5), u, float(t)),
-                lambda u: laws.gg_density(GGLaw(1.0, 0.75), u, 1.0),
-                float(x),
+                lambda u: laws.gg_density(half, u, t),
+                lambda u: laws.gg_density(three_q, u, 1.0),
+                x,
             )
             worst = max(worst, abs(ge - gq))
-            gm = laws.gconv(1.0, 1.0, 1.0, float(x), float(t))
+            gm = laws.gconv(1.0, 1.0, 1.0, x, t)
             gq2 = mellin.mellin_convolve(
-                lambda u: laws.gg_density(GGLaw(1.0, 1.0), u, float(t)),
-                lambda u: laws.gg_density(GGLaw(-1.0, 1.0), u, 1.0),
-                float(x),
+                lambda u: laws.gg_density(one, u, t),
+                lambda u: laws.gg_density(inv_one, u, 1.0),
+                x,
             )
             worst = max(worst, abs(gm - gq2))
     return worst, 1e-7
@@ -220,16 +221,17 @@ def _check_stable_mellin(seed):
 
 def _check_star_commutativity(seed):
     worst = 0.0
+    law1, law2 = GGLaw(2.0, 0.7), GGLaw(-1.0, 1.2)
     for x in (0.5, 1.0, 2.0):
         for t in (0.8, 1.6):
             a = mellin.mellin_convolve(
-                lambda u: laws.gg_density(GGLaw(2.0, 0.7), u, t),
-                lambda u: laws.gg_density(GGLaw(-1.0, 1.2), u, 1.0),
+                lambda u: laws.gg_density(law1, u, t),
+                lambda u: laws.gg_density(law2, u, 1.0),
                 x,
             )
             b = mellin.mellin_convolve(
-                lambda u: laws.gg_density(GGLaw(-1.0, 1.2), u, 1.0),
-                lambda u: laws.gg_density(GGLaw(2.0, 0.7), u, t),
+                lambda u: laws.gg_density(law2, u, 1.0),
+                lambda u: laws.gg_density(law1, u, t),
                 x,
             )
             worst = max(worst, abs(a - b))

@@ -35,6 +35,31 @@ def test_contour_route_needs_no_quadrature():
     assert loaded == []
 
 
+def public_subpackages(modules):
+    """The public subpackages (scipy.X with X not private) among modules."""
+    return {".".join(m.split(".")[:2]) for m in modules if m.count(".") and not m.split(".")[1].startswith("_")}
+
+
+def test_grid_operators_load_only_special():
+    # the grids and operators of the benchmark's `operators` workload: the
+    # spline is the package's own, so only scipy.special loads, for the 2F1
+    # and Beta tails of the right kernel and the operator's head
+    code = (
+        "import numpy as np\n"
+        "from anomdiff import GridFunction, caputo, frac_integral, fractional_power_operator, rl_left, rl_right\n"
+        "nodes = np.geomspace(1e-5, 50.0, 2500)\n"
+        "g_exp = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)\n"
+        "nodes = np.linspace(1e-6, 2.5, 3001)\n"
+        "g_pow = GridFunction(nodes, nodes**0.5, 0.5)\n"
+        "nodes = np.linspace(1e-7, 1.2, 6001)\n"
+        "g_sq = GridFunction(nodes, nodes**2 + 1.0)\n"
+        "values = [rl_right(0.5, g_exp, 1.0), frac_integral('right', 0.5, g_exp, 1.0), rl_left(0.25, g_pow, 1.0),\n"
+        "          caputo(0.5, g_sq, 0.8), fractional_power_operator(2.0, 0.5, g_exp)(1.0)]\n"
+        "assert all(np.isfinite(values))"
+    )
+    assert public_subpackages(scipy_modules_after(code)) == {"scipy.special", "scipy.version"}
+
+
 _GRID = ["xmin=0.2", "xmax=3.0", "nx=8", "t=1.0"]
 # What scipy.integrate loads with it (scipy 1.17): a command that integrates
 # may load these subpackages and no others.
@@ -75,5 +100,4 @@ def test_command_loads_only_its_scipy_subpackages(name):
     loaded = scipy_modules_after(run_cli)
     if not allowed:
         assert loaded == []
-    public = {".".join(m.split(".")[:2]) for m in loaded if m.count(".") and not m.split(".")[1].startswith("_")}
-    assert public <= allowed
+    assert public_subpackages(loaded) <= allowed

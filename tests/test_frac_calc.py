@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.integrate
 from scipy.integrate import IntegrationWarning, quad
 
@@ -272,7 +274,8 @@ def bench_grids():
 
 @pytest.mark.parametrize("name", ["exp", "pow", "sq", "4 nodes", "5 nodes"])
 def test_derivative_is_the_spline_slope_at_the_nodes(bench_grids, name):
-    # bit for bit the spline's derivative evaluated at every node
+    # the node slopes of the not-a-knot spline: SciPy's CubicSpline as the
+    # oracle, and the spline's defining equations from the slopes alone
     from scipy.interpolate import CubicSpline
 
     if name in bench_grids:
@@ -280,7 +283,70 @@ def test_derivative_is_the_spline_slope_at_the_nodes(bench_grids, name):
     else:
         nodes = np.array([0.3, 0.7, 1.6, 2.0, 3.1])[: int(name[0])]
         gf = GridFunction(nodes, np.sin(nodes))
-    assert np.array_equal(gf.derivative().values, CubicSpline(gf.nodes, gf.values)(gf.nodes, 1))
+    x, y, s = gf.nodes, gf.values, gf.derivative().values
+    want = CubicSpline(x, y)(x, 1)
+    assert np.max(np.abs(s - want)) <= 1e-14 * np.max(np.abs(want))
+    # on a segment of width h, with chord slope m and end slopes s0, s1, the
+    # cubic has S'' = (6m - 4s0 - 2s1)/h at its left end, (-6m + 2s0 + 4s1)/h
+    # at its right end, and S''' = 6(s0 + s1 - 2m)/h^2; each residual is
+    # measured against the sum of the magnitudes of its terms
+    eps = np.finfo(float).eps
+    h = np.diff(x)
+    m = np.diff(y) / h
+    s0, s1 = s[:-1], s[1:]
+    at_left, left_scale = (6 * m - 4 * s0 - 2 * s1) / h, (6 * abs(m) + 4 * abs(s0) + 2 * abs(s1)) / h
+    at_right, right_scale = (-6 * m + 2 * s0 + 4 * s1) / h, (6 * abs(m) + 2 * abs(s0) + 4 * abs(s1)) / h
+    assert np.all(np.abs(at_right[:-1] - at_left[1:]) <= 4 * eps * (right_scale[:-1] + left_scale[1:]))
+    third, third_scale = (s0 + s1 - 2 * m) / h**2, (abs(s0) + abs(s1) + 2 * abs(m)) / h**2
+    for i, k in ((0, 1), (-1, -2)):
+        assert abs(third[i] - third[k]) <= 4 * eps * (third_scale[i] + third_scale[k])
+
+
+@st.composite
+def _spline_data(draw):
+    """Strictly increasing nodes, with adjacent spacings up to 1e3 apart, and
+    values at them."""
+    n = draw(st.integers(4, 40))
+    widths = 10.0 ** np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n - 1, max_size=n - 1)))
+    nodes = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(widths)])
+    values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return nodes, values
+
+
+@given(_spline_data(), st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_spline_agrees_with_cubic_spline(data, offset):
+    # the node slopes, and S and S' inside every segment: at the
+    # Gauss-Legendre nodes of the operator's outer rule, and from the
+    # per-segment quadratic of S' at a drawn offset.  The oracle's slopes are
+    # read from its coefficients, where c[2] holds each piece's slope at its
+    # left node, and the last one from the mirrored spline: evaluating its
+    # power-basis cubic at the far end of a long piece can lose more digits
+    # than the solve.  The bound is 1e-12 of the largest magnitude, or
+    # eps rho^2 with rho the largest ratio of adjacent spacings: the
+    # condition of the system grows like rho^2, and both solutions' rounding
+    # with it (at 4 nodes the spline is the one cubic through them, and
+    # spacings of 27.6, 0.055 and 31.6 put SciPy's slopes 2.4e-11 and ours
+    # 3.6e-11 from the exact solution).
+    from scipy.interpolate import CubicSpline
+
+    x, y = data
+    oracle = CubicSpline(x, y)
+    h = np.diff(x)
+    rho = np.max(np.maximum(h[1:] / h[:-1], h[:-1] / h[1:]))
+    tol = max(1e-12, np.finfo(float).eps * rho**2)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    last = -CubicSpline(-x[::-1], y[::-1]).c[2, 0]
+    assert close(frac_calc._spline_slopes(x, y), np.append(oracle.c[2], last))
+    values, slopes, poly = solvers._mesh_spline(x, y)
+    at_gauss = x[:-1, None] + h[:, None] * solvers._TAU
+    assert close(values, oracle(at_gauss))
+    assert close(slopes, oracle(at_gauss, 1))
+    t = offset * h
+    assert close(poly[:, 0] + t * (poly[:, 1] + t * poly[:, 2]), oracle(x[:-1] + t, 1))
 
 
 class TestLeftGridKernel:
@@ -398,23 +464,31 @@ def test_fractional_power_operator_calls_no_scalar_kernel(monkeypatch):
 
 def test_fractional_power_operator_builds_only_its_mesh_spline(monkeypatch):
     # once f's spline derivative is cached, the inner stage reuses it: a build
-    # constructs the n_mesh-point spline of the middle stage and nothing else
-    import scipy.interpolate
-
+    # solves for the node slopes of the n_mesh-point spline of the middle
+    # stage and of nothing else
     nodes = np.geomspace(1e-5, 50.0, 2500)
     gf = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)
     gf.derivative()
     built = []
-    spline = scipy.interpolate.CubicSpline
+    slopes = frac_calc._spline_slopes
 
-    def counting_spline(x, y, *args, **kwargs):
+    def counting_slopes(x, y):
         built.append(len(x))
-        return spline(x, y, *args, **kwargs)
+        return slopes(x, y)
 
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting_spline)
+    monkeypatch.setattr(frac_calc, "_spline_slopes", counting_slopes)
+    monkeypatch.setattr(solvers, "_spline_slopes", counting_slopes)
     op = fractional_power_operator(2.0, 0.5, gf, n_mesh=150)
     assert built == [150]
     assert math.isfinite(op(1.0))
+
+
+def test_fractional_power_operator_needs_four_mesh_nodes():
+    nodes = np.geomspace(1e-5, 50.0, 200)
+    gf = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)
+    with pytest.raises(DomainError, match="n_mesh"):
+        fractional_power_operator(2.0, 0.5, gf, n_mesh=3)
+    assert math.isfinite(fractional_power_operator(2.0, 0.5, gf, n_mesh=4)(1.0))
 
 
 def test_fractional_power_operator_build_memory():
