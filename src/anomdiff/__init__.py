@@ -38,7 +38,12 @@ from .laws import (
     l_fox,
     l_mellin,
     ratio_density,
+    space_fractional_density,
+    space_fractional_fox,
+    space_fractional_mellin,
     tabulate_density,
+    time_fractional_fox,
+    time_fractional_solution,
 )
 from .mellin import (
     FoxH,
@@ -74,12 +79,7 @@ from .solvers import (
     generator_apply,
     mellin_time_rule_residual,
     project_coefficients,
-    space_fractional_density,
-    space_fractional_fox,
-    space_fractional_mellin,
     sturm_liouville_solution,
-    time_fractional_fox,
-    time_fractional_solution,
 )
 from .specfun import (
     MLParams,

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentTailError, DomainError
-from .mellin import quad
-from .specfun import gamma_fn, sp
+from .mellin import quad, sp
+from .specfun import gamma_fn
 
 __all__ = [
     "PowerLaw",

@@ -17,7 +17,10 @@ built from three primitives, the generalized gamma, stable and inverse laws
 (`gg_fox`, `h_fox`, `l_fox`), by `fox_product` and `fox_power`: the n-fold
 composition (`compose_fox`, for n >= 3) is a product of generalized gamma
 laws, and the mixed law (`f_nu_beta_fox`) the stable law times a power of
-the inverse law.  At nu = 1 the stable law is the point mass at 1, the unit
+the inverse law.  The solutions of the time- and space-fractional problems
+are such laws too: a generalized gamma law times a power of the inverse law
+(`time_fractional_fox`), and a gamma law times the mixed law
+(`space_fractional_fox`).  At nu = 1 the stable law is the point mass at 1, the unit
 of the product, so the mixed law at nu = 1 is the inverse law.  A law at
 time t is t^a X for the unit-time variate X of its kernel, so its contour
 density and its Mellin transform (`gg_mellin`, `compose_mellin`,
@@ -54,8 +57,8 @@ from .errors import (
     DomainError,
     UnsupportedMethodError,
 )
-from .mellin import FoxH, MellinStrip, fox_h_eval, fox_h_mellin, fox_power, fox_product
-from .specfun import bessel_k, gamma_fn, wright_w
+from .mellin import FoxH, MellinStrip, fox_h_eval, fox_h_mellin, fox_power, fox_product, quad
+from .specfun import bessel_k, beta_fn, gamma_fn, wright_w
 
 __all__ = [
     "GGLaw",
@@ -80,6 +83,11 @@ __all__ = [
     "f_nu_beta",
     "f_nu_beta_fox",
     "index_set",
+    "time_fractional_fox",
+    "time_fractional_solution",
+    "space_fractional_fox",
+    "space_fractional_mellin",
+    "space_fractional_density",
     "resolve_method",
     "tabulate_density",
 ]
@@ -240,8 +248,6 @@ def gconv(gamma: float, mu1: float, mu2: float, x: float, t: float) -> float:
                                / (t^gamma + x^gamma)^(mu1+mu2).
     """
     _check_xt(x, t)
-    from .specfun import beta_fn
-
     g = gamma
     log_val = (
         (g * mu1 - 1.0) * math.log(x)
@@ -551,6 +557,91 @@ def index_set(kind: str, n: int, kappa: int, target: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the time-fractional solution: subordination on the half-line
+
+
+@lru_cache(maxsize=256)
+def time_fractional_fox(gamma: float, mu: float, nu: float) -> FoxH:
+    """H-function object of the time-fractional solution at unit scale: the
+    generalized gamma law (gamma, mu) times the 1/gamma-th power of the
+    nu-inverse law; kernel Gamma(s + mu)/Gamma(mu) * Gamma(s + 1)/Gamma(nu s + 1)
+    with s = (eta-1)/gamma."""
+    return fox_product(gg_fox(gamma, mu), fox_power(l_fox(nu), 1.0 / gamma))
+
+
+def time_fractional_solution(gamma: float, mu: float, nu: float, x: float, t: float) -> float:
+    """Solution of the time-fractional Cauchy problem on (0, inf) with a point
+    initial datum: the tilde-scaled generalized gamma law run at the inverse
+    subordinator time, int_0^inf g~(x, s) l_nu(s, t) ds.
+
+    Evaluates the H-function of `time_fractional_fox` at x / t^(nu/gamma).
+    At nu = 1 the inverse time collapses to the identity and the law itself
+    is returned.
+    """
+    if not 0 < nu <= 1:
+        raise DomainError("nu must lie in (0, 1]")
+    law = GGLaw(gamma, mu)
+    if nu == 1.0:
+        return gg_density(law, x, t, tilde=True)
+    if not (x > 0 and t > 0):
+        raise DomainError("x and t must be positive")
+    return _law_density(time_fractional_fox(gamma, mu, nu), nu / gamma, x, t)
+
+
+# ---------------------------------------------------------------------------
+# the mixed space-fractional density and its transform
+
+
+@lru_cache(maxsize=256)
+def space_fractional_fox(mu: float, nu: float, beta: float) -> FoxH:
+    """H-function object of the self-similar profile of the mixed law at unit
+    time: a gamma draw of shape mu times the mixed law of `f_nu_beta_fox`."""
+    return fox_product(gg_fox(1.0, mu), f_nu_beta_fox(nu, beta))
+
+
+def space_fractional_mellin(mu: float, nu: float, beta: float, eta: float, t: float) -> float:
+    """Mellin transform of the mixed law at time t: the kernel of
+    `space_fractional_fox` times t^(beta (eta-1)/nu).  Outside the kernel's
+    strip, (max(1-mu, 1-nu), 1) for nu < 1 and (max(1-mu, 0), inf) at
+    nu = 1, it raises StripError."""
+    return _law_mellin(space_fractional_fox(mu, nu, beta), beta / nu, t, eta)
+
+
+def space_fractional_density(
+    mu: float, nu: float, beta: float, x: float, t: float, route: str = "foxh"
+) -> float:
+    """Density of a gamma draw of shape mu run at the mixed subordinated time,
+    solving the space-fractional evolution problem.
+
+    Routes: 'foxh' (self-similar profile via the H-function object, at every
+    nu and beta) and 'double_integral' (quadrature of the gamma law against
+    `f_nu_beta`, or the ratio law at nu = beta; it can fail at nu = 1).
+    """
+    if route not in ("double_integral", "foxh"):
+        raise UnsupportedMethodError(f"unknown route {route!r}")
+    if not (x > 0 and t > 0):
+        raise DomainError("x and t must be positive")
+    if not (0 < nu <= 1 and 0 < beta <= 1):
+        raise DomainError("indices must lie in (0, 1]")
+    if nu == 1.0 and beta == 1.0:
+        return gg_density(GGLaw(1.0, mu), x, t)
+    if route == "double_integral":
+        law = GGLaw(1.0, mu)
+        if nu == beta:
+
+            def mix(s):
+                return ratio_density(nu, s / t) / t
+
+        else:
+
+            def mix(s):
+                return f_nu_beta(nu, beta, s, t)
+
+        return quad(lambda s: gg_density(law, x, s) * mix(s), -45.0, 45.0, log=True, epsrel=1e-8)
+    return _law_density(space_fractional_fox(mu, nu, beta), beta / nu, x, t)
+
+
+# ---------------------------------------------------------------------------
 # tabulation
 
 
@@ -563,12 +654,6 @@ def _route(name: str, p: dict) -> str:
     return name
 
 
-def _solvers():
-    from . import solvers  # imported late: solvers imports this module
-
-    return solvers
-
-
 _DENSITIES = {
     "gg": lambda p, x, t: gg_density(GGLaw(p["gamma"], float(p["mu"])), x, t, tilde=bool(p.get("tilde", 0))),
     "h": lambda p, x, t: h_density(p["nu"], x, t, p.get("method", "auto")),
@@ -576,9 +661,9 @@ _DENSITIES = {
     "f_ratio": lambda p, x, t: ratio_density(p["nu"], x / t) / t,
     "f_nu_beta": lambda p, x, t: f_nu_beta(p["nu"], p["beta"], x, t),
     "compose": lambda p, x, t: compose_density(p["gamma"], MuVector.parse(str(p["mu"])), x, t),
-    "g_nu_beta": lambda p, x, t: _solvers().space_fractional_density(
+    "g_nu_beta": lambda p, x, t: space_fractional_density(
         float(p.get("mu", 1.0)), p.get("nu", 0.5), p.get("beta", 1.0), x, t, _route("g_nu_beta", p)),
-    "u_time_frac": lambda p, x, t: _solvers().time_fractional_solution(
+    "u_time_frac": lambda p, x, t: time_fractional_solution(
         p.get("gamma", 1.0), float(p.get("mu", 1.0)), p.get("nu", 0.5), x, t),
 }
 

@@ -15,6 +15,10 @@ short phase sum.  `fox_h_series` sums a kernel's
 residues instead, left or right of the contour, from coefficients
 memoized on (kernel, side).  `quad` is the one
 adaptive-quadrature helper of the library: it checks every error estimate.
+
+The module imports nothing from the package but `errors`, so it sits below
+`specfun` and `laws`.  It holds the package's one lazy handle on
+scipy.special (`sp`) and the pole test that `specfun` shares.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, StripError, UnsupportedMethodError
-from .specfun import _EPS, _is_nonpositive_integer, sp
 
 __all__ = [
     "MellinStrip",
@@ -41,6 +44,34 @@ __all__ = [
     "fox_h_series",
     "mellin_inverse",
 ]
+
+
+class _LazySpecial:
+    """scipy.special, imported at the first attribute read.
+
+    Every module of the package reaches scipy.special through the one
+    instance `sp`, so `import anomdiff` loads no SciPy, and neither does a
+    command whose work reads no attribute of it: the contour route has its
+    own complex log-Gamma (`_loggamma`), and the closed forms, the
+    samplers and verify's Monte Carlo checks use `math`.  Each attribute is
+    cached on the instance, so later reads are plain instance lookups.
+    """
+
+    def __getattr__(self, name):
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+sp = _LazySpecial()
+
+_EPS = np.finfo(float).eps
+
+
+def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
+    return x < 0.5 and abs(x - round(x)) <= tol * max(1.0, abs(x))
 
 
 @dataclass(frozen=True)

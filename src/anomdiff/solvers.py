@@ -1,12 +1,10 @@
 """Solution operators for the fractional diffusion problems.
 
-The subordination solution on the half-line (an H-function; its
-subordination integral is the tests' quadrature oracle), the Bessel
-eigenfunction series on the unit interval, the fractional power of the
-adjoint generator, the mixed space-fractional density with its two
-evaluation routes and its Mellin transform (both read from the kernel of
-`space_fractional_fox`), and residual checks of the governing Mellin/Laplace
-identities.
+The Bessel eigenfunction series on the unit interval, the fractional power
+of the adjoint generator, and residual checks of the governing
+Mellin/Laplace identities.  The time-fractional solution on the half-line
+and the mixed space-fractional density are laws of subordinated variates,
+so they live in `laws`; this module re-exports their five names.
 """
 
 from __future__ import annotations
@@ -18,23 +16,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergentTailError, DomainError, StripError, UnsupportedMethodError
+from .errors import DivergentTailError, DomainError, StripError
 from .frac_calc import GridFunction, _grid_right_alg_integral, _power_dot, _spline_slopes
 from .laws import (
-    GGLaw,
-    _law_density,
-    _law_mellin,
-    f_nu_beta,
-    f_nu_beta_fox,
-    gg_density,
-    gg_fox,
     h_density,
     l_density,
-    l_fox,
-    ratio_density,
+    space_fractional_density,
+    space_fractional_fox,
+    space_fractional_mellin,
+    time_fractional_fox,
+    time_fractional_solution,
 )
-from .mellin import FoxH, fox_power, fox_product, quad
-from .specfun import MLParams, bessel_j, bessel_j_zeros, gamma_fn, mittag_leffler, sp
+from .mellin import quad, sp
+from .specfun import MLParams, bessel_j, bessel_j_zeros, gamma_fn, mittag_leffler
 
 __all__ = [
     "BVPSpec",
@@ -191,38 +185,6 @@ class _SeriesSolution:
 @lru_cache(maxsize=32)
 def sturm_liouville_solution(spec: BVPSpec) -> _SeriesSolution:
     return _SeriesSolution(spec)
-
-
-# ---------------------------------------------------------------------------
-# subordination on the half-line
-
-
-@lru_cache(maxsize=256)
-def time_fractional_fox(gamma: float, mu: float, nu: float) -> FoxH:
-    """H-function object of the time-fractional solution at unit scale: the
-    generalized gamma law (gamma, mu) times the 1/gamma-th power of the
-    nu-inverse law; kernel Gamma(s + mu)/Gamma(mu) * Gamma(s + 1)/Gamma(nu s + 1)
-    with s = (eta-1)/gamma."""
-    return fox_product(gg_fox(gamma, mu), fox_power(l_fox(nu), 1.0 / gamma))
-
-
-def time_fractional_solution(gamma: float, mu: float, nu: float, x: float, t: float) -> float:
-    """Solution of the time-fractional Cauchy problem on (0, inf) with a point
-    initial datum: the tilde-scaled generalized gamma law run at the inverse
-    subordinator time, int_0^inf g~(x, s) l_nu(s, t) ds.
-
-    Evaluates the H-function of `time_fractional_fox` at x / t^(nu/gamma).
-    At nu = 1 the inverse time collapses to the identity and the law itself
-    is returned.
-    """
-    if not 0 < nu <= 1:
-        raise DomainError("nu must lie in (0, 1]")
-    law = GGLaw(gamma, mu)
-    if nu == 1.0:
-        return gg_density(law, x, t, tilde=True)
-    if not (x > 0 and t > 0):
-        raise DomainError("x and t must be positive")
-    return _law_density(time_fractional_fox(gamma, mu, nu), nu / gamma, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -419,59 +381,6 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
         return -float(head + body + last) / gam
 
     return apply
-
-
-# ---------------------------------------------------------------------------
-# the mixed space-fractional density and its transform
-
-
-@lru_cache(maxsize=256)
-def space_fractional_fox(mu: float, nu: float, beta: float) -> FoxH:
-    """H-function object of the self-similar profile of the mixed law at unit
-    time: a gamma draw of shape mu times the mixed law of `f_nu_beta_fox`."""
-    return fox_product(gg_fox(1.0, mu), f_nu_beta_fox(nu, beta))
-
-
-def space_fractional_mellin(mu: float, nu: float, beta: float, eta: float, t: float) -> float:
-    """Mellin transform of the mixed law at time t: the kernel of
-    `space_fractional_fox` times t^(beta (eta-1)/nu).  Outside the kernel's
-    strip, (max(1-mu, 1-nu), 1) for nu < 1 and (max(1-mu, 0), inf) at
-    nu = 1, it raises StripError."""
-    return _law_mellin(space_fractional_fox(mu, nu, beta), beta / nu, t, eta)
-
-
-def space_fractional_density(
-    mu: float, nu: float, beta: float, x: float, t: float, route: str = "foxh"
-) -> float:
-    """Density of a gamma draw of shape mu run at the mixed subordinated time,
-    solving the space-fractional evolution problem.
-
-    Routes: 'foxh' (self-similar profile via the H-function object, at every
-    nu and beta) and 'double_integral' (quadrature of the gamma law against
-    `f_nu_beta`, or the ratio law at nu = beta; it can fail at nu = 1).
-    """
-    if route not in ("double_integral", "foxh"):
-        raise UnsupportedMethodError(f"unknown route {route!r}")
-    if not (x > 0 and t > 0):
-        raise DomainError("x and t must be positive")
-    if not (0 < nu <= 1 and 0 < beta <= 1):
-        raise DomainError("indices must lie in (0, 1]")
-    if nu == 1.0 and beta == 1.0:
-        return gg_density(GGLaw(1.0, mu), x, t)
-    if route == "double_integral":
-        law = GGLaw(1.0, mu)
-        if nu == beta:
-
-            def mix(s):
-                return ratio_density(nu, s / t) / t
-
-        else:
-
-            def mix(s):
-                return f_nu_beta(nu, beta, s, t)
-
-        return quad(lambda s: gg_density(law, x, s) * mix(s), -45.0, 45.0, log=True, epsrel=1e-8)
-    return _law_density(space_fractional_fox(mu, nu, beta), beta / nu, x, t)
 
 
 # ---------------------------------------------------------------------------

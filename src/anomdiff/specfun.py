@@ -4,7 +4,8 @@ Gamma/Beta wrappers, Bessel J/I/K and zeros of J, and the two-parameter
 Mittag-Leffler and the Wright function, which are H-functions: each is one
 Gamma-product kernel, summed by `mellin.fox_h_series` or inverted on the
 contour.  All arguments and results are real; complex arguments are out of
-scope.
+scope.  SciPy's special functions are read through `mellin.sp`, which
+imports scipy.special at the first use.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import mellin
 from .errors import ConvergenceError, DomainError, PoleError
+from .mellin import _EPS, _is_nonpositive_integer, sp
 
 __all__ = [
     "MLParams",
@@ -31,28 +34,6 @@ __all__ = [
 ]
 
 
-class _LazySpecial:
-    """scipy.special, imported at the first attribute read.
-
-    Every module of the package reaches scipy.special through the one
-    instance `sp`, so `import anomdiff` loads no SciPy, and neither does a
-    command whose work reads no attribute of it: the contour route has its
-    own complex log-Gamma (`mellin._loggamma`), and the closed forms, the
-    samplers and verify's Monte Carlo checks use `math`.  Each attribute is
-    cached on the instance, so later reads are plain instance lookups.
-    """
-
-    def __getattr__(self, name):
-        from scipy import special
-
-        value = getattr(special, name)
-        setattr(self, name, value)
-        return value
-
-
-sp = _LazySpecial()
-
-_EPS = np.finfo(float).eps
 _LOG_MAX = math.log(sys.float_info.max)
 # z^(1/alpha) from which E_{alpha,beta}(z), z > 0, is taken from its
 # exponential asymptotic, once it is also at least 2 beta.  There the
@@ -73,10 +54,6 @@ class MLParams:
     def __post_init__(self):
         if not self.alpha > 0:
             raise DomainError("alpha must be positive")
-
-
-def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
-    return x < 0.5 and abs(x - round(x)) <= tol * max(1.0, abs(x))
 
 
 def gamma_fn(x: float) -> float:
@@ -226,5 +203,3 @@ def bessel_j_zeros(order: float, count: int) -> np.ndarray:
         raise ConvergenceError("Bessel zero refinement exceeded residual 1e-10")
     return out
 
-
-from . import mellin  # noqa: E402  (mellin imports specfun; its names are read at call time)

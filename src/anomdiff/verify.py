@@ -308,11 +308,11 @@ def _check_mellin_operational_rules(seed):
 def _check_subordination_degenerate(seed):
     worst = 0.0
     for x in (0.5, 1.0, 2.0):
-        a = solvers.time_fractional_solution(1.0, 1.5, 1.0, x, 1.2)
+        a = laws.time_fractional_solution(1.0, 1.5, 1.0, x, 1.2)
         b = laws.gg_density(GGLaw(1.0, 1.5), x, 1.2, tilde=True)
         worst = max(worst, abs(a - b))
     mass = mellin.quad(
-        lambda x: solvers.time_fractional_solution(1.0, 1.0, 0.5, x, 1.0),
+        lambda x: laws.time_fractional_solution(1.0, 1.0, 0.5, x, 1.0),
         0, np.inf, epsabs=_TOL, epsrel=_TOL, limit=120,
     )
     worst = max(worst, abs(mass - 1.0))
@@ -340,8 +340,8 @@ def _check_space_fractional_routes(seed):
     for (nu, beta) in ((0.5, 1.0), (0.5, 0.5)):
         for x in (0.6, 1.0, 1.7):
             for t in (0.7, 1.0, 1.8):
-                di = solvers.space_fractional_density(1.0, nu, beta, x, t, "double_integral")
-                fh = solvers.space_fractional_density(1.0, nu, beta, x, t, "foxh")
+                di = laws.space_fractional_density(1.0, nu, beta, x, t, "double_integral")
+                fh = laws.space_fractional_density(1.0, nu, beta, x, t, "foxh")
                 worst = max(worst, abs(di - fh))
     return worst, 1e-4
 
@@ -366,7 +366,7 @@ def _check_moment_slope_formula(seed):
     ts = np.array([0.5, 1.0, 2.0, 4.0])
     worst = 0.0
     for beta in (0.5, 1.0):
-        vals = [solvers.space_fractional_mellin(1.0, 1.0, beta, 2.0, float(t)) for t in ts]
+        vals = [laws.space_fractional_mellin(1.0, 1.0, beta, 2.0, float(t)) for t in ts]
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         worst = max(worst, abs(slope - beta))
     return worst, 0.02

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from anomdiff import cli, solvers, verify
+from anomdiff import cli, laws, verify
 
 
 def run_cli(args):
@@ -173,12 +173,12 @@ class TestTabulate:
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert float(row[2]) == pytest.approx(0.3103711, rel=1e-7) and row[3] == "foxh"
 
-    @pytest.mark.parametrize("density, solver", [
+    @pytest.mark.parametrize("density, fn", [
         ("g_nu_beta", "space_fractional_density"),
         ("u_time_frac", "time_fractional_solution"),
     ])
-    def test_non_finite_value_is_a_numerical_failure(self, monkeypatch, density, solver):
-        monkeypatch.setattr(solvers, solver, lambda *args: math.nan)
+    def test_non_finite_value_is_a_numerical_failure(self, monkeypatch, density, fn):
+        monkeypatch.setattr(laws, fn, lambda *args: math.nan)
         assert run_cli(["--command", "tabulate", "--param", f"density={density}", "--param", "nx=2"]) == 1
 
 
