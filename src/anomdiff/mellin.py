@@ -16,9 +16,8 @@ residues instead, left or right of the contour, from coefficients
 memoized on (kernel, side).  `quad` is the one
 adaptive-quadrature helper of the library: it checks every error estimate.
 
-The module imports nothing from the package but `errors`, so it sits below
-`specfun` and `laws`.  It holds the package's one lazy handle on
-scipy.special (`sp`) and the pole test that `specfun` shares.
+It imports nothing from the package but `errors`, and holds the package's
+one lazy handle on scipy.special (`sp`) and the pole test `specfun` shares.
 """
 
 from __future__ import annotations
@@ -250,8 +249,9 @@ class FoxH:
     and the law of a power X^r the kernel of X at 1 + r(eta - 1)
     (`fox_power`).  A numerator pole in the strip, less 1e-12 max(1, |end|)
     at each finite end, raises PoleError.  `_stack` holds the factors as the
-    arrays `kernel` evaluates; it is derived from the fields, so equality and
-    hashing ignore it.  The hash is computed once, for the contour cache.
+    arrays `kernel` evaluates, and `_phase` the kernel's phase rate (see
+    `mellin_inverse`); both are derived from the fields, so equality and
+    hashing ignore them.  The hash is computed once, for the contour cache.
     """
 
     num: tuple  # ((c, d), ...), each G(c + d eta)
@@ -264,6 +264,8 @@ class FoxH:
         object.__setattr__(self, "den", tuple((float(c), float(d)) for c, d in self.den))
         object.__setattr__(self, "_stack", _factor_stack(self.num, self.den))
         object.__setattr__(self, "_hash", hash((self.num, self.den, self.strip, self.prefactor)))
+        phase = [sum(d * math.log(abs(d)) for _, d in fs if d) for fs in (self.den, self.num)]
+        object.__setattr__(self, "_phase", phase[0] - phase[1])
         a, b = self.strip.a, self.strip.b
         lo = a + 1e-12 * max(1.0, abs(a)) if math.isfinite(a) else a  # a pole on an end lies outside
         hi = b - 1e-12 * max(1.0, abs(b)) if math.isfinite(b) else b
@@ -385,21 +387,21 @@ def mellin_inverse(h: FoxH, x: float, abscissa: float) -> float:
     maximum height raises ConvergenceError.  Every node is a panel start plus
     one of the shared offsets, so the phase x^(-i s) splits:
     sum_pj e^(-i lx (t0_p + h_j)) W_pj = e^(-i lx t0) . (W e^(-i lx h)).
+    By Stirling's formula G(c + d eta) turns like |d|^(i d s) along the line,
+    so the panel is set by lx + sum_den d log|d| - sum_num d log|d|.
     """
     if not x > 0:
         raise DomainError("x must be positive")
     lx = math.log(x)
-    t0, offsets, w = _contour_samples(h, abscissa, _panel_length(lx))
+    t0, offsets, w = _contour_samples(h, abscissa, _panel_length(lx + h._phase))
     acc = float(np.real(np.exp(-1j * lx * t0) @ (w @ np.exp(-1j * lx * offsets))))
     return (x**-abscissa) / math.pi * acc
 
 
-def fox_h_eval(h: FoxH, x: float, *, abscissa: float | None = None) -> float:
-    """Evaluate the H-function at x > 0 by contour integration of its kernel."""
-    c = h.strip.default_abscissa() if abscissa is None else float(abscissa)
-    if not h.strip.contains(c):
-        raise StripError(f"abscissa {c} outside strip")
-    return mellin_inverse(h, x, c)
+def fox_h_eval(h: FoxH, x: float) -> float:
+    """Evaluate the H-function at x > 0 by contour integration of its kernel
+    at its strip's default abscissa."""
+    return mellin_inverse(h, x, h.strip.default_abscissa())
 
 
 _TERMS = 2000  # residues a series may sum

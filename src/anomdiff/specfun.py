@@ -4,8 +4,7 @@ Gamma/Beta wrappers, Bessel J/I/K and zeros of J, and the two-parameter
 Mittag-Leffler and the Wright function, which are H-functions: each is one
 Gamma-product kernel, summed by `mellin.fox_h_series` or inverted on the
 contour.  All arguments and results are real; complex arguments are out of
-scope.  SciPy's special functions are read through `mellin.sp`, which
-imports scipy.special at the first use.
+scope.  scipy.special is read lazily, through `mellin.sp`.
 """
 
 from __future__ import annotations

@@ -196,7 +196,8 @@ class TestStableLaw:
 
 
 class TestReciprocalIntegerIndex:
-    """'auto' takes the composition route at nu = 1/k; every depth answers."""
+    """Small indices: 'auto' takes the composition route at nu = 1/k, and
+    every depth answers; the contour answers at the indices between."""
 
     @staticmethod
     def series(law, nu, x):
@@ -227,6 +228,14 @@ class TestReciprocalIntegerIndex:
                 got = fn(nu, x, 1.0)
                 assert math.isfinite(got) and got >= 0.0
                 assert got == pytest.approx(self.series(law, nu, x), rel=1e-8)
+
+
+    @pytest.mark.parametrize("nu", [0.1, 0.08, 1 / 13, 0.07, 1 / 16, 0.06])
+    def test_contour_at_small_index_matches_series(self, nu):
+        # the contour's panel follows the kernel's Stirling phase, which grows
+        # like log(1/nu)/nu; a panel set by log x alone was 0.68 off at 1/16
+        for x in (0.5, 1.0, 2.0, 3.0):
+            assert h_density(nu, x, 1.0, "foxh") == pytest.approx(self.series("h", nu, x), rel=1e-8)
 
 
 class TestInverseLaw:
