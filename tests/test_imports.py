@@ -52,12 +52,6 @@ def _find_cycle(graph: dict):
     return None
 
 
-def test_graph_sees_the_package():
-    graph = _import_graph()
-    assert {"laws", "mellin", "solvers", "specfun"} <= graph.keys()
-    assert "mellin" in graph["laws"]
-
-
 def test_finder_names_a_cycle():
     assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == ["b", "c", "b"]
     assert _find_cycle({"a": {"b"}, "b": set()}) is None
