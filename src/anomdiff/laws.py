@@ -18,16 +18,16 @@ built from three primitives, the generalized gamma, stable and inverse laws
 composition (`compose_fox`, for n >= 3) is a product of generalized gamma
 laws, and the mixed law (`f_nu_beta_fox`) the stable law times a power of
 the inverse law.  The solutions of the time- and space-fractional problems
-are such laws too (`time_fractional_fox`, `space_fractional_fox`).  At nu =
-1 the stable law is the point mass at 1, the unit of the product, so the
-mixed law at nu = 1 is the inverse law.  A law at time t is t^a X for the
-unit-time variate X of its kernel, so its contour density and its Mellin
-transform (`gg_mellin`, `compose_mellin`, `h_mellin`, `l_mellin`) both come
-from the pair (kernel, a).  The kernel constructors are memoized, so a
-contour evaluation reaches the contour cache without building a kernel.  The
-nested adaptive quadrature that builds the same densities from their
-factors, and the hand-written Gamma-product transforms, are the tests'
-independent oracles (tests/quadrature_oracles.py, tests/test_mellin.py).
+are such laws too (`time_fractional_fox`, `space_fractional_fox`).  At nu = 1
+the stable law is the point mass at 1, the unit of the product, so the mixed
+law at nu = 1 is the inverse law.  A law at time t is t^a X for the unit-time
+variate X of its kernel, so its contour density and its Mellin transform
+(`gg_mellin`, `compose_mellin`, `h_mellin`, `l_mellin`) both come from the
+pair (kernel, a).  The kernel constructors are memoized, so a contour
+evaluation reaches the contour cache without building a kernel.  The nested
+adaptive quadrature that builds the same densities from their factors, and
+the hand-written Gamma-product transforms, are the tests' independent
+oracles (tests/quadrature_oracles.py, tests/test_mellin.py).
 
 `tabulate_density` is the one tabulation loop, for every named density.
 
