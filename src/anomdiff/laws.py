@@ -321,8 +321,9 @@ def compose_mellin(gamma: float, mu, t: float, eta: float) -> float:
     return _law_mellin(compose_fox(gamma, mu), 1.0, t, eta)
 
 
-def compose_invariance_gap(mu1: MuVector, mu2: MuVector, xs, ts, gamma: float = 1.0) -> float:
-    """sup over the (x, t) grid of |composition(mu1) - composition(mu2)|.
+def compose_invariance_gap(mu1: MuVector, mu2: MuVector, xs, ts) -> float:
+    """sup over the (x, t) grid of |composition(mu1) - composition(mu2)|, at
+    shape index gamma = 1.
 
     Both vectors must have equal length and kappa and lie in the same
     product-index class.  That check is a membership guard, not an
@@ -332,14 +333,13 @@ def compose_invariance_gap(mu1: MuVector, mu2: MuVector, xs, ts, gamma: float = 
     """
     if mu1.n != mu2.n or mu1.kappa != mu2.kappa:
         raise DomainError("vectors must share length and kappa")
-    p1 = np.prod(mu1.upsilons)
-    if not mu2.in_product_set(int(p1)):
+    if not mu2.in_product_set(math.prod(mu1.upsilons)):
         raise DomainError("vectors lie in different product classes")
     worst = 0.0
     for x in np.atleast_1d(xs):
         for t in np.atleast_1d(ts):
-            a = compose_density(gamma, mu1, float(x), float(t))
-            b = compose_density(gamma, mu2, float(x), float(t))
+            a = compose_density(1.0, mu1, float(x), float(t))
+            b = compose_density(1.0, mu2, float(x), float(t))
             worst = max(worst, abs(a - b))
     return worst
 
@@ -348,32 +348,47 @@ def compose_invariance_gap(mu1: MuVector, mu2: MuVector, xs, ts, gamma: float = 
 # one-sided stable law, its inverse, ratio and mixed laws
 
 
-def _chain_length(nu: float) -> int:
-    """n >= 1 with nu = 1/(n+1) to within 1e-12, or 0 when nu has no such form."""
-    n = round(1.0 / nu) - 1
-    return n if n >= 1 and abs(nu - 1.0 / (n + 1)) <= 1e-12 else 0
+# The named routes of each law, in the order 'auto' tries them: h_density
+# ('h'), l_density ('l') and space_fractional_density ('g_nu_beta').
+_ROUTES = {
+    "h": ("closed", "conv", "foxh"),
+    "l": ("closed", "conv", "wright", "foxh"),
+    "g_nu_beta": ("foxh", "double_integral"),
+}
 
 
-def _chain_order(nu: float) -> int:
-    n = _chain_length(nu)
-    if not n:
-        raise UnsupportedMethodError(f"nu={nu} is not of the form 1/(n+1)")
-    return n
+def _serves(route: str, nu: float) -> bool:
+    """Whether `route` answers at index nu: 'closed' at nu = 1/2 and 'conv'
+    at nu = 1/(n+1), n >= 1, each to within 1e-12; every other route at every nu.
+    'conv' serves no nan, nu <= 0 or nu too small for a finite 1/nu."""
+    if route == "closed":
+        return abs(nu - 0.5) <= 1e-12
+    if route == "conv":
+        if not nu > 1e-300:
+            return False
+        n = round(1.0 / nu) - 1
+        return n >= 1 and abs(nu - 1.0 / (n + 1)) <= 1e-12
+    return True
 
 
-_AUTO_FALLBACK = {"h": "foxh", "l": "wright"}
-
-
+@lru_cache(maxsize=256)
 def resolve_method(law: str, nu: float, method: str = "auto") -> str:
-    """The route that h_density (law 'h') or l_density (law 'l') runs for
-    `method` at index nu.  'auto' takes 'closed' at nu = 1/2, 'conv' at
-    nu = 1/(n+1), and otherwise 'foxh' for h and 'wright' for l; any other
-    method is returned as given."""
-    if method != "auto":
-        return method
-    if nu == 0.5:
-        return "closed"
-    return "conv" if _chain_length(nu) else _AUTO_FALLBACK[law]
+    """The route that law 'h' (h_density), 'l' (l_density) or 'g_nu_beta'
+    (space_fractional_density) runs for `method` at index nu, the one place
+    a route is chosen and checked.  'auto' takes the first route of the law's
+    `_ROUTES` that serves nu; a named route that does not serve nu, or is not
+    in the law's table, raises UnsupportedMethodError.  Memoized, so that a
+    density's dispatch costs one cache lookup, not the route tests."""
+    routes = _ROUTES[law]
+    if method == "auto":
+        for route in routes:
+            if _serves(route, nu):
+                return route
+    if method not in routes:
+        raise UnsupportedMethodError(f"unknown route {method!r} for {law}")
+    if not _serves(method, nu):
+        raise UnsupportedMethodError(f"route {method!r} does not serve nu={nu}")
+    return method
 
 
 @lru_cache(maxsize=256)
@@ -409,19 +424,15 @@ def h_density(nu: float, x: float, t: float, method: str = "auto") -> float:
     _check_xt(x, t)
     method = resolve_method("h", nu, method)
     if method == "closed":
-        if abs(nu - 0.5) > 1e-12:
-            raise UnsupportedMethodError("closed form available only for nu=1/2")
         expo = -t * t / (4.0 * x)
         if expo < -700.0:
             return 0.0
         return t / (2.0 * math.sqrt(math.pi)) * x**-1.5 * math.exp(expo)
     if method == "conv":
-        n = _chain_order(nu)
+        n = round(1.0 / nu) - 1
         mus = [(j + 1) * nu for j in range(n)]
         return compose_density(-1.0, mus, x, TimeStretch(n + 1).phi(t))
-    if method == "foxh":
-        return _law_density(h_fox(nu), 1.0 / nu, x, t)
-    raise UnsupportedMethodError(f"unknown method {method!r} for h_density")
+    return _law_density(h_fox(nu), 1.0 / nu, x, t)
 
 
 def h_mellin(nu: float, t: float, eta: float) -> float:
@@ -443,21 +454,17 @@ def l_density(nu: float, x: float, t: float, method: str = "auto") -> float:
     _check_xt(x, t)
     method = resolve_method("l", nu, method)
     if method == "closed":
-        if abs(nu - 0.5) > 1e-12:
-            raise UnsupportedMethodError("closed form available only for nu=1/2")
         expo = -x * x / (4.0 * t)
         if expo < -700.0:
             return 0.0
         return math.exp(expo) / math.sqrt(math.pi * t)
     if method == "conv":
-        n = _chain_order(nu)
+        n = round(1.0 / nu) - 1
         mus = [(j + 1) * nu for j in range(n)]
         return compose_density(n + 1.0, mus, x, TimeStretch(n + 1).psi(t))
     if method == "wright":
         return t**-nu * wright_w(-nu, 1.0 - nu, -x * t**-nu)
-    if method == "foxh":
-        return _law_density(l_fox(nu), nu, x, t)
-    raise UnsupportedMethodError(f"unknown method {method!r} for l_density")
+    return _law_density(l_fox(nu), nu, x, t)
 
 
 def l_mellin(nu: float, t: float, eta: float) -> float:
@@ -615,8 +622,7 @@ def space_fractional_density(
     nu and beta) and 'double_integral' (quadrature of the gamma law against
     `f_nu_beta`, or the ratio law at nu = beta; it can fail at nu = 1).
     """
-    if route not in ("double_integral", "foxh"):
-        raise UnsupportedMethodError(f"unknown route {route!r}")
+    route = resolve_method("g_nu_beta", nu, route)
     if not (x > 0 and t > 0):
         raise DomainError("x and t must be positive")
     if not (0 < nu <= 1 and 0 < beta <= 1):
@@ -644,12 +650,12 @@ def space_fractional_density(
 
 
 def _route(name: str, p: dict) -> str:
-    """The route a table of density `name` runs, for its method column."""
-    if name in ("h", "l"):
-        return resolve_method(name, p["nu"], p.get("method", "auto"))
-    if name == "g_nu_beta":
-        return p.get("route", "foxh")
-    return name
+    """The route a table of density `name` runs, for its method column; h and
+    l take theirs from the 'method' parameter, g_nu_beta from 'route'."""
+    if name not in _ROUTES:
+        return name
+    key = "route" if name == "g_nu_beta" else "method"
+    return resolve_method(name, p.get("nu", 0.5), p.get(key, "auto"))
 
 
 _DENSITIES = {
@@ -660,7 +666,7 @@ _DENSITIES = {
     "f_nu_beta": lambda p, x, t: f_nu_beta(p["nu"], p["beta"], x, t),
     "compose": lambda p, x, t: compose_density(p["gamma"], MuVector.parse(str(p["mu"])), x, t),
     "g_nu_beta": lambda p, x, t: space_fractional_density(
-        float(p.get("mu", 1.0)), p.get("nu", 0.5), p.get("beta", 1.0), x, t, _route("g_nu_beta", p)),
+        float(p.get("mu", 1.0)), p.get("nu", 0.5), p.get("beta", 1.0), x, t, p.get("route", "foxh")),
     "u_time_frac": lambda p, x, t: time_fractional_solution(
         p.get("gamma", 1.0), float(p.get("mu", 1.0)), p.get("nu", 0.5), x, t),
 }

@@ -548,8 +548,7 @@ def quad(fn, a: float, b: float, *, log: bool = False, vector: bool = False,
     return val
 
 
-def mellin_numeric(f, eta: float, *, strip: MellinStrip | None = None,
-                   abs_tol: float = 1e-9,
+def mellin_numeric(f, eta: float, *, abs_tol: float = 1e-9,
                    support: tuple[float, float] | None = None) -> float:
     """int_0^inf x^(eta-1) f(x) dx by adaptive quadrature on the log axis.
 
@@ -562,8 +561,6 @@ def mellin_numeric(f, eta: float, *, strip: MellinStrip | None = None,
     ends of the default window; otherwise the transform diverges there (eta
     lies outside the fundamental strip of f) and StripError is raised.
     """
-    if strip is not None and not strip.contains(eta):
-        raise StripError(f"eta={eta} outside declared strip")
     # the default log-axis window covers x in [1.8e-35, 5.5e34]; integrands of
     # strip-interior transforms are below tolerance outside it
     lo, hi = -80.0, 80.0

@@ -125,6 +125,12 @@ class TestTabulate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("nu", ["0", "-0.5", "nan", "1e-320"])
+    def test_index_outside_the_domain_is_usage_error(self, nu):
+        # the method column's route choice used to divide by nu first, and
+        # exit 1 on a ZeroDivisionError or OverflowError
+        assert run_cli(["--command", "tabulate", "--param", "density=h", "--param", f"nu={nu}"]) == 2
+
     def test_float_mu_consumers_reject_bad_mu(self):
         assert run_cli(["--command", "sample", "--param", "dist=G", "--param", "mu=abc"]) == 2
         assert run_cli(["--command", "moments", "--param", "mu=abc"]) == 2
@@ -147,6 +153,8 @@ class TestTabulate:
 
     @pytest.mark.parametrize("density, nu, route", [
         ("h", "0.3", "foxh"),
+        ("h", "0.25", "conv"),
+        ("l", "0.2", "conv"),
         ("l", "0.3", "wright"),
         ("l", "0.5", "closed"),
         ("g_nu_beta", "0.5", "foxh"),

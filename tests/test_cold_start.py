@@ -60,6 +60,12 @@ def test_grid_operators_load_only_special():
     assert public_subpackages(scipy_modules_after(code)) == {"scipy.special", "scipy.version"}
 
 
+def test_bessel_zeros_load_only_special():
+    # the zeros are eigenvalues found by numpy; scipy.special checks them
+    code = "from anomdiff.specfun import bessel_j_zeros\nassert len(bessel_j_zeros(0.5, 20)) == 20"
+    assert public_subpackages(scipy_modules_after(code)) == {"scipy.special", "scipy.version"}
+
+
 _GRID = ["xmin=0.2", "xmax=3.0", "nx=8", "t=1.0"]
 # What scipy.integrate loads with it (scipy 1.17): a command that integrates
 # may load these subpackages and no others.

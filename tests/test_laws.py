@@ -10,6 +10,7 @@ from scipy.special import kv
 
 from anomdiff.errors import ConvergenceError, DomainError, StripError, UnsupportedMethodError
 from anomdiff.laws import (
+    _ROUTES,
     GGLaw,
     MuVector,
     TimeStretch,
@@ -28,6 +29,7 @@ from anomdiff.laws import (
     l_mellin,
     ratio_density,
     resolve_method,
+    space_fractional_density,
     tabulate_density,
 )
 from anomdiff.mellin import mellin_numeric
@@ -441,6 +443,14 @@ class TestComposition:
         mu = MuVector.from_integers([1, 2], 3)
         assert compose_invariance_gap(mu, mu, [1.0], [1.0]) == 0.0
 
+    def test_products_past_int64(self):
+        # the product 2^96 + ... of the upsilons wrapped around in np.prod,
+        # which put two permutations of one vector in different classes
+        big = 2**32
+        mu1 = MuVector.from_integers([big - 1, big + 1, big + 3], big)
+        mu2 = MuVector.from_integers([big + 3, big + 1, big - 1], big)
+        assert compose_invariance_gap(mu1, mu2, [1.0], [1.0]) <= 1e-14
+
     def test_membership_guard(self):
         mu1 = MuVector.from_integers([1, 2], 3)
         mu3 = MuVector.from_integers([1, 3], 3)
@@ -475,6 +485,51 @@ class TestComposition:
             for t in (0.5, 1.0, 2.0):
                 want = c * t / x**2 * h_density(1.0 / (n + 1), c * t / x, 1.0, "foxh")
                 assert compose_density(1.0, mu, x, t) == pytest.approx(want, rel=1e-9)
+
+
+class TestResolveMethod:
+    """`resolve_method` is the one place a route is chosen and checked."""
+
+    DENSITY = {
+        "h": lambda nu, method: h_density(nu, 1.0, 1.0, method),
+        "l": lambda nu, method: l_density(nu, 1.0, 1.0, method),
+        "g_nu_beta": lambda nu, method: space_fractional_density(1.0, nu, 0.5, 1.0, 1.0, method),
+    }
+
+    @pytest.mark.parametrize("law", sorted(_ROUTES))
+    @pytest.mark.parametrize("route, nu", [("closed", 0.4), ("conv", 0.45)])
+    def test_route_outside_its_domain_is_named(self, law, route, nu):
+        with pytest.raises(UnsupportedMethodError, match=f"'{route}'"):
+            resolve_method(law, nu, route)
+        with pytest.raises(UnsupportedMethodError, match=f"'{route}'"):
+            self.DENSITY[law](nu, route)
+
+    @pytest.mark.parametrize("law", sorted(_ROUTES))
+    def test_unknown_route(self, law):
+        with pytest.raises(UnsupportedMethodError, match="unknown route 'bogus'"):
+            resolve_method(law, 0.5, "bogus")
+        with pytest.raises(UnsupportedMethodError, match="unknown route 'bogus'"):
+            self.DENSITY[law](0.5, "bogus")
+
+    @pytest.mark.parametrize("law, picks", [
+        ("h", ("closed", "conv", "foxh")),
+        ("l", ("closed", "conv", "wright")),
+        ("g_nu_beta", ("foxh", "foxh", "foxh")),
+    ])
+    def test_auto_takes_the_first_route_that_serves(self, law, picks):
+        assert tuple(resolve_method(law, nu) for nu in (0.5, 0.25, 0.3)) == picks
+
+    @pytest.mark.parametrize("nu", [0.0, -0.5, math.nan, 1e-320])
+    def test_conv_does_not_serve_an_index_without_a_finite_reciprocal(self, nu):
+        # auto falls through to the route that serves every nu; the densities
+        # then reject nu <= 0 and nan themselves
+        assert resolve_method("h", nu) == "foxh" and resolve_method("l", nu) == "wright"
+
+    def test_closed_within_round_off_of_one_half(self):
+        nu = 0.5 + 1e-13
+        for law, want in (("h", levy_density(1.0, 1.0)), ("l", half_gaussian(1.0, 1.0))):
+            assert resolve_method(law, nu) == "closed" and resolve_method(law, nu, "closed") == "closed"
+            assert self.DENSITY[law](nu, "auto") == pytest.approx(want, rel=1e-14)
 
 
 class TestTimeStretch:

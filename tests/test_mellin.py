@@ -69,8 +69,10 @@ class TestMellinNumeric:
         assert got == pytest.approx(1.6083594219855455, abs=1e-7)
 
     def test_strip_violation(self):
+        # eta = -0.5 lies left of the gamma law's strip (0, inf): x^eta f(x)
+        # grows at the window's lower end
         with pytest.raises(StripError):
-            mellin_numeric(gamma_density(1.0), 2.0, strip=MellinStrip(0.0, 1.5))
+            mellin_numeric(gamma_density(1.0), -0.5)
 
     def test_divergent_transform_raises(self):
         # no strip and no support: x^eta f(x) grows at the window's upper end,

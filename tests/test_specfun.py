@@ -273,11 +273,20 @@ class TestBesselZeros:
         got = bessel_j_zeros(0.0, 2)
         assert got[1] == pytest.approx(5.520078110286311, abs=1e-9)
 
-    @pytest.mark.parametrize("order", [-0.5, 0.0, 0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("order", [-0.99, -0.5, 0.0, 0.5, 1.0, 2.5, 10.0, 60.0])
     def test_strictly_increasing_and_small_residual(self, order):
         zs = bessel_j_zeros(order, 8)
         assert np.all(np.diff(zs) > 0)
         assert np.all(np.abs(sp.jv(order, zs)) <= 1e-10)
+
+    def test_large_order(self):
+        # the first zero of J_200 lies near 211, past the order: the matrix
+        # must reach beyond it; each zero is a sign change of J
+        zs = bessel_j_zeros(200.0, 40)
+        assert zs[0] == pytest.approx(self.bisect_oracle(200.0, 205.0, 215.0), rel=1e-14)
+        assert np.all(np.diff(zs) > 0)
+        assert np.all(np.abs(sp.jv(200.0, zs)) <= 1e-10)
+        assert np.all(np.sign(sp.jv(200.0, zs - 1e-6)) != np.sign(sp.jv(200.0, zs + 1e-6)))
 
     def test_half_order_zeros_are_sine_zeros(self):
         zs = bessel_j_zeros(-0.5, 4)
