@@ -77,7 +77,6 @@ from .solvers import (
     eigen_system,
     fractional_power_operator,
     generator_apply,
-    mellin_time_rule_residual,
     project_coefficients,
     sturm_liouville_solution,
 )

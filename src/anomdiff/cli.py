@@ -25,10 +25,8 @@ from .errors import ConvergenceError, DomainError, UnsupportedMethodError
 from .laws import MuVector, tabulate_density
 from .montecarlo import CompositionChain, RngSpec
 
-_FLOAT_KEYS = {
-    "gamma", "nu", "beta", "xmin", "xmax", "r", "x",
-}
-_INT_KEYS = {"nx", "n", "n_terms", "count", "stream", "tilde"}
+_FLOAT_KEYS = {"gamma", "nu", "beta", "xmin", "xmax", "r"}
+_INT_KEYS = {"nx", "n", "n_terms", "stream", "tilde"}
 # "t" stays a string: grid commands accept semicolon-separated lists; so does
 # "mu", a number for most commands and a MuVector ("1/4,2/4,3/4") for compose
 
@@ -138,7 +136,7 @@ def cmd_solve_bvp(params, seed, out, fmt):
     rows = [(float(x), t, v) for t in ts for x, v in zip(xs, sol(xs, t).tolist())]
     _write_rows(out, ("x", "t", "value"), rows, fmt)
     if out is not None:
-        _write_json(out + ".eigen.json", sol.eigen_system_with_coefficients().to_json_dict())
+        _write_json(out + ".eigen.json", sol.es.to_json_dict(sol.coeffs))
     return 0
 
 

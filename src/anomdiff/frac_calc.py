@@ -255,10 +255,8 @@ def _grid_right_alg_integral(gf: GridFunction, a: float, xs: np.ndarray) -> np.n
 
 
 def _left_alg_integral(f, a: float, y: float) -> float:
-    """int_0^y (y-s)^(-a) f(s) ds for a < 1; algebraic-weight quadrature, or the
-    exact slope-jump sum when f is a sampled grid."""
-    if y <= 0:
-        return 0.0
+    """int_0^y (y-s)^(-a) f(s) ds for a < 1 and y > 0; algebraic-weight
+    quadrature, or the exact slope-jump sum when f is a sampled grid."""
     if isinstance(f, GridFunction):
         return float(_grid_left_alg_integral(f, a, np.array([y]))[0])
     return quad(f, 0.0, y, weight="alg", wvar=(0.0, -a), epsabs=1e-12, epsrel=1e-10, limit=200)

@@ -533,10 +533,6 @@ def index_set(kind: str, n: int, kappa: int, target: int) -> list:
     results = []
 
     def rec_product(prefix, remaining, slots):
-        if slots == 0:
-            if remaining == 1:
-                results.append(tuple(prefix))
-            return
         if slots == 1:
             results.append(tuple(prefix + [remaining]))
             return

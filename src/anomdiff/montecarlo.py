@@ -161,21 +161,14 @@ def sample_chain(chain: CompositionChain, rng, size=None) -> np.ndarray | float:
 
 def ks_distance(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic sup |F_emp - F| against a
-    monotone CDF callable (vectorized or scalar)."""
+    monotone CDF that maps an array of points to an array of values."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n < 1:
         raise DomainError("samples must be non-empty")
-
-    def evaluate(points):
-        try:
-            return np.asarray(cdf(points), dtype=float)
-        except (TypeError, ValueError):
-            return np.array([cdf(v) for v in points], dtype=float)
-
-    f = evaluate(x)
+    f = np.asarray(cdf(x), dtype=float)
     # left limits matter when the reference law carries atoms
-    f_left = evaluate(np.nextafter(x, -np.inf))
+    f_left = np.asarray(cdf(np.nextafter(x, -np.inf)), dtype=float)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f_left - (i - 1) / n)))
 

@@ -1,10 +1,10 @@
 """Solution operators for the fractional diffusion problems.
 
 The Bessel eigenfunction series on the unit interval, the fractional power
-of the adjoint generator, and residual checks of the governing
-Mellin/Laplace identities.  The time-fractional solution on the half-line
-and the mixed space-fractional density are laws of subordinated variates,
-so they live in `laws`; this module re-exports their five names.
+of the adjoint generator, and the residual check of the double Laplace
+identity.  The time-fractional solution on the half-line and the mixed
+space-fractional density are laws of subordinated variates, so they live in
+`laws`; this module re-exports their five names.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergentTailError, DomainError, StripError
+from .errors import DivergentTailError, DomainError
 from .frac_calc import GridFunction, _grid_right_alg_integral, _power_dot, _spline_slopes
 from .laws import (
     h_density,
@@ -44,7 +44,6 @@ __all__ = [
     "space_fractional_fox",
     "space_fractional_mellin",
     "space_fractional_density",
-    "mellin_time_rule_residual",
     "double_laplace_residual",
 ]
 
@@ -62,7 +61,6 @@ class EigenSystem:
     mu: float
     zeros: tuple
     norms: tuple  # squared weighted norms
-    coefficients: tuple | None = None
 
     @property
     def order(self) -> float:
@@ -77,15 +75,13 @@ class EigenSystem:
         g, mu = self.gamma, self.mu
         return x ** (0.5 * g * (1.0 - mu)) * sp.jv(mu - 1.0, np.asarray(self.zeros)[k] * x ** (0.5 * g))
 
-    def with_coefficients(self, coeffs) -> "EigenSystem":
-        return EigenSystem(self.gamma, self.mu, self.zeros, self.norms, tuple(coeffs))
-
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, coefficients) -> dict:
+        """The system with the projection coefficients of one initial datum."""
         return {
             "order": self.order,
             "zeros": list(self.zeros),
             "norms": list(self.norms),
-            "coefficients": list(self.coefficients) if self.coefficients else [],
+            "coefficients": list(coefficients),
         }
 
 
@@ -178,9 +174,6 @@ class _SeriesSolution:
         out = es.weight(x) * acc
         return float(out) if scalar else out
 
-    def eigen_system_with_coefficients(self) -> EigenSystem:
-        return self.es.with_coefficients(self.coeffs)
-
 
 @lru_cache(maxsize=32)
 def sturm_liouville_solution(spec: BVPSpec) -> _SeriesSolution:
@@ -191,20 +184,22 @@ def sturm_liouville_solution(spec: BVPSpec) -> _SeriesSolution:
 # generator and its fractional power
 
 
-def generator_apply(gamma: float, mu: float, f, x: float, h: float = 1e-4) -> float:
+def generator_apply(gamma: float, mu: float, f, x: float) -> float:
     """Second-order generator x^(1-g)/g^2 (x f'' + (g mu - g + 1) f') by
-    centered finite differences of step h: the operator whose eigenfunctions
+    centered finite differences of step 1e-4: the operator whose eigenfunctions
     are the modes of `eigen_system` (eigenvalue -(kappa_1/2)^2 at g = mu = 1)."""
+    h = 1e-4
     f1 = (f(x + h) - f(x - h)) / (2.0 * h)
     f2 = (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
     return x ** (1.0 - gamma) / gamma**2 * (x * f2 + (gamma * mu - gamma + 1.0) * f1)
 
 
-def adjoint_generator_apply(gamma: float, mu: float, f, x: float, h: float = 1e-3) -> float:
+def adjoint_generator_apply(gamma: float, mu: float, f, x: float) -> float:
     """Adjoint generator (1/g^2) d/dx [x^(g mu - g + 1) d/dx (f / w)] with
-    w(x) = x^(g mu - 1), by nested centered differences: the right side of
-    the forward equation that the BVP series solves (acceptance criterion 5)."""
-    gm = gamma * mu
+    w(x) = x^(g mu - 1), by nested centered differences of step 1e-3: the
+    right side of the forward equation that the BVP series solves
+    (acceptance criterion 5)."""
+    gm, h = gamma * mu, 1e-3
 
     def u(s):
         return f(s) / s ** (gm - 1.0)
@@ -216,6 +211,7 @@ def adjoint_generator_apply(gamma: float, mu: float, f, x: float, h: float = 1e-
 
 
 _RULE_NODES = 8  # Gauss nodes per mesh segment and on the singular stretch
+_MESH_POINTS = 192  # geometric mesh of the inner stage
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(_RULE_NODES)
 # The cubic Hermite form on a segment of width h, at tau = (t + 1)/2 for the
 # Gauss-Legendre nodes t: with chord slope m and end slopes s0, s1, the
@@ -261,20 +257,21 @@ def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int = 192):
+def fractional_power_operator(mu: float, nu: float, f: GridFunction):
     """Callable x -> -(outer left derivative of order nu applied to
     x^(mu-1+nu) times the right derivative of order nu of x^(1-mu) f).
 
     This is the fractional power of (minus) the adjoint generator for unit
     shape index.  The inner right derivative is tabulated on a geometric
-    mesh spanning the grid of f, by one call of the array-valued grid kernel
-    after the tail check of `rl_right`.  The kernel integrates the derivative
-    of x^(1-mu) f, taken by the product rule from the cached spline
-    derivative of f, so no spline of x^(1-mu) f is built.  The inner stage is
-    interpolated by the not-a-knot cubic spline S in u = log s whose node
-    slopes also give `GridFunction.derivative` (the outer derivative needs a
-    C^1 integrand to keep its accuracy as nu -> 1).  The spline continues as
-    a power law v0 (s/s0)^p below the mesh and as zero beyond it.
+    mesh of _MESH_POINTS points spanning the grid of f, by one call of the
+    array-valued grid kernel after the tail check of `rl_right`.  The kernel
+    integrates the derivative of x^(1-mu) f, taken by the product rule from
+    the cached spline derivative of f, so no spline of x^(1-mu) f is built.
+    The inner stage is interpolated by the not-a-knot cubic spline S in
+    u = log s whose node slopes also give `GridFunction.derivative` (the
+    outer derivative needs a C^1 integrand to keep its accuracy as nu -> 1).
+    The spline continues as a power law v0 (s/s0)^p below the mesh and as
+    zero beyond it.
 
     The outer stage is a fixed product rule on the derivative form
     D^nu m(x) = [m(0+) x^-nu + int_0^x (x-s)^-nu m'(s) ds] / Gamma(1-nu),
@@ -291,8 +288,6 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
     """
     if not 0 < nu < 1:
         raise DomainError("nu must lie in (0, 1)")
-    if n_mesh < 4:
-        raise DomainError("n_mesh must be at least 4")
     inner_decay = f.extrapolation_decay + (1.0 - mu) if math.isfinite(f.extrapolation_decay) else -np.inf
     if not inner_decay < -nu:
         raise DivergentTailError(f"tail exponent {inner_decay} too weak for right derivative of order {nu}")
@@ -303,7 +298,7 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
         nodes, nodes ** (1.0 - mu) * (f.derivative().values + (1.0 - mu) * f.values / nodes), inner_decay - 1.0
     )
     gam = gamma_fn(1.0 - nu)
-    mesh = np.geomspace(nodes[0], nodes[-1] * 0.999, n_mesh)
+    mesh = np.geomspace(nodes[0], nodes[-1] * 0.999, _MESH_POINTS)
     inner = -_grid_right_alg_integral(g1_prime, nu, mesh) / gam
     mid_vals = mesh ** (mu - 1.0 + nu) * inner
     u = np.log(mesh)
@@ -384,31 +379,7 @@ def fractional_power_operator(mu: float, nu: float, f: GridFunction, n_mesh: int
 
 
 # ---------------------------------------------------------------------------
-# identity residuals
-
-
-def mellin_time_rule_residual(mu: float, nu: float, eta: float, t: float) -> float:
-    """Residual of the transformed governing identity of the gamma law:
-
-        d^nu/dt^nu [t^(eta-1) G(eta+mu-1)/G(mu)]
-          = G(eta)/G(eta-nu) * G(eta+mu-1)/G(eta+mu-1-nu) * M(eta-nu; t),
-
-    with the fractional time derivative of the power evaluated by the exact
-    rule.  Pure gamma arithmetic; should vanish to round-off.
-    """
-    if not 0 < nu <= 1:
-        raise DomainError("nu must lie in (0, 1]")
-    if eta <= 1.0 - mu or eta - nu <= 1.0 - mu:
-        raise StripError("eta and eta-nu must exceed 1-mu")
-    lhs = gamma_fn(eta) / gamma_fn(eta - nu) * t ** (eta - nu - 1.0) * gamma_fn(eta + mu - 1.0) / gamma_fn(mu)
-    rhs = (
-        gamma_fn(eta)
-        / gamma_fn(eta - nu)
-        * gamma_fn(eta + mu - 1.0)
-        / gamma_fn(eta + mu - 1.0 - nu)
-        * (t ** (eta - nu - 1.0) * gamma_fn(eta - nu + mu - 1.0) / gamma_fn(mu))
-    )
-    return abs(lhs - rhs)
+# identity residual
 
 
 def double_laplace_residual(nu: float, beta: float, xi: float, lam: float) -> float:

@@ -43,6 +43,19 @@ class TestTabulate:
         row = capsys.readouterr().out.strip().splitlines()[1]
         assert float(row.split(",")[2]) == pytest.approx(math.exp(-1.0), rel=1e-10)
 
+    def test_keys_no_command_reads_are_ignored(self, capsys):
+        # x and count are not parsed as numbers, since no command reads them
+        code = run_cli([
+            "--command", "tabulate",
+            "--param", "density=gg",
+            "--param", "gamma=1", "--param", "mu=1",
+            "--param", "xmin=1", "--param", "xmax=1", "--param", "nx=1",
+            "--param", "t=1", "--param", "x=abc", "--param", "count=abc",
+        ])
+        assert code == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        assert float(row.split(",")[2]) == pytest.approx(math.exp(-1.0), rel=1e-10)
+
     @pytest.mark.parametrize("tilde,t_law", [(0, 4.0), (1, 2.0)])
     def test_gg_tilde_flag(self, capsys, tilde, t_law):
         # tilde=1 runs the law at t^(1/gamma); tilde=0 is the plain law

@@ -138,6 +138,20 @@ class TestRlRight:
         with pytest.raises(DivergentTailError):
             rl_right(0.5, gf, 1.0)
 
+    @pytest.mark.parametrize("x", [0.5, 2.0])
+    @pytest.mark.parametrize("alpha,b", [(0.25, 0.3), (0.25, 0.6), (0.5, 0.3)])
+    def test_power_law_exact_rule_matches_quadrature(self, alpha, b, x):
+        # the exact rule, with the tail decay read off the PowerLaw, against
+        # the quadrature of the same function passed as a plain callable
+        pl = PowerLaw(1.7, b)
+        want = rl_right(alpha, lambda s: pl(s), x, tail_decay=b - 1.0)
+        assert rl_right(alpha, pl, x) == pytest.approx(want, rel=1e-10)
+
+    def test_power_law_tail_too_weak(self):
+        # s^(b-1) with b - 1 = -0.4 does not decay faster than s^(-1/2)
+        with pytest.raises(DivergentTailError):
+            rl_right(0.5, PowerLaw(1.7, 0.6), 1.0)
+
 
 def _right_kernel_by_quad(a, gf, x):
     """int_x^inf (s-x)^(-a) gf(s) ds by quad in u = (s-x)^(1-a)/(1-a), which
@@ -464,8 +478,8 @@ def test_fractional_power_operator_calls_no_scalar_kernel(monkeypatch):
 
 def test_fractional_power_operator_builds_only_its_mesh_spline(monkeypatch):
     # once f's spline derivative is cached, the inner stage reuses it: a build
-    # solves for the node slopes of the n_mesh-point spline of the middle
-    # stage and of nothing else
+    # solves for the node slopes of the 192-point spline of the middle stage
+    # and of nothing else
     nodes = np.geomspace(1e-5, 50.0, 2500)
     gf = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)
     gf.derivative()
@@ -478,17 +492,9 @@ def test_fractional_power_operator_builds_only_its_mesh_spline(monkeypatch):
 
     monkeypatch.setattr(frac_calc, "_spline_slopes", counting_slopes)
     monkeypatch.setattr(solvers, "_spline_slopes", counting_slopes)
-    op = fractional_power_operator(2.0, 0.5, gf, n_mesh=150)
-    assert built == [150]
+    op = fractional_power_operator(2.0, 0.5, gf)
+    assert built == [192]
     assert math.isfinite(op(1.0))
-
-
-def test_fractional_power_operator_needs_four_mesh_nodes():
-    nodes = np.geomspace(1e-5, 50.0, 200)
-    gf = GridFunction(nodes, nodes * np.exp(-nodes), -np.inf)
-    with pytest.raises(DomainError, match="n_mesh"):
-        fractional_power_operator(2.0, 0.5, gf, n_mesh=3)
-    assert math.isfinite(fractional_power_operator(2.0, 0.5, gf, n_mesh=4)(1.0))
 
 
 def test_fractional_power_operator_build_memory():
@@ -536,6 +542,14 @@ class TestCaputo:
         tn = np.linspace(1e-9, 1.2, 2001)
         got = caputo(0.5, GridFunction(tn, tn), 1.0)
         assert got == pytest.approx(2.0 / SQRT_PI, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_power_law(self, alpha):
+        # the exact derivative of x^(b-1), b = 2.5: Gamma(b)/Gamma(b-alpha) t^(b-alpha-1)
+        b = 2.5
+        for t in (0.5, 1.0, 2.0):
+            want = gamma_fn(b) / gamma_fn(b - alpha) * t ** (b - alpha - 1.0)
+            assert caputo(alpha, PowerLaw(1.0, b), t) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_rl_bridge(self, alpha):
