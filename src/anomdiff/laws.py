@@ -55,7 +55,7 @@ from .errors import (
     DomainError,
     UnsupportedMethodError,
 )
-from .mellin import FoxH, MellinStrip, fox_h_eval, fox_h_mellin, fox_power, fox_product, quad
+from .mellin import FoxH, fox_h_eval, fox_h_mellin, fox_power, fox_product, quad
 from .specfun import bessel_k, beta_fn, gamma_fn, wright_w
 
 __all__ = [
@@ -194,12 +194,25 @@ def _check_xt(x: float, t: float):
         raise DomainError("x and t must be positive")
 
 
+_LOG_SCALE = 708.0  # e^(+-708) is a normal float, with room for the rounding of a power
+
+
+def _check_scale(name: str, log_value: float):
+    """Raise ConvergenceError naming the scale `name` unless its log lies in
+    (-708, 708): a valid input whose scale is no normal float has no answer."""
+    if not abs(log_value) < _LOG_SCALE:
+        raise ConvergenceError(f"{name} = e^{log_value:.6g} lies outside the float range")
+
+
 # A law at time t is t^a X, with X the unit-time variate of its kernel k: its
 # density is k's H-function at x/t^a over t^a, and its transform k's kernel
 # times t^(a(eta-1)).  Every contour density and transform goes through these.
 
 
 def _law_density(k: FoxH, a: float, x: float, t: float) -> float:
+    log_scale = a * math.log(t)
+    _check_scale("the time scale t^a", log_scale)
+    _check_scale("the argument x/t^a", math.log(x) - log_scale)
     scale = t**a
     return fox_h_eval(k, x / scale) / scale
 
@@ -282,8 +295,7 @@ def gg_fox(gamma: float, mu: float) -> FoxH:
     Gamma((eta-1)/gamma + mu) / Gamma(mu) on the strip where its argument is
     positive.  Gamma(mu) is a constant factor, not a prefactor, so that the
     kernel stays finite past mu = 171, where Gamma(mu) overflows."""
-    return FoxH(((mu - 1.0 / gamma, 1.0 / gamma),), ((mu, 0.0),),
-                MellinStrip(*sorted((1.0 - gamma * mu, math.copysign(math.inf, gamma)))))
+    return FoxH(((mu - 1.0 / gamma, 1.0 / gamma),), ((mu, 0.0),))
 
 
 def compose_fox(gamma: float, mu) -> FoxH:
@@ -399,15 +411,15 @@ def h_fox(nu: float) -> FoxH:
     kernel is 1 on the whole line, the unit of `fox_product`, so that a
     product law closes its nu = 1 end without a branch of its own."""
     if nu == 1.0:
-        return FoxH((), (), MellinStrip(-math.inf, math.inf))
-    return FoxH(((1.0 / nu, -1.0 / nu),), ((1.0, -1.0),), MellinStrip(-math.inf, 1.0), 1.0 / nu)
+        return FoxH((), ())
+    return FoxH(((1.0 / nu, -1.0 / nu),), ((1.0, -1.0),), 1.0 / nu)
 
 
 @lru_cache(maxsize=256)
 def l_fox(nu: float) -> FoxH:
     """H-function object for the inverse law at unit time;
     kernel Gamma(eta) / Gamma(eta nu - nu + 1) on (0, inf)."""
-    return FoxH(((0.0, 1.0),), ((1.0 - nu, nu),), MellinStrip(0.0, math.inf))
+    return FoxH(((0.0, 1.0),), ((1.0 - nu, nu),))
 
 
 def h_density(nu: float, x: float, t: float, method: str = "auto") -> float:
@@ -430,6 +442,7 @@ def h_density(nu: float, x: float, t: float, method: str = "auto") -> float:
         return t / (2.0 * math.sqrt(math.pi)) * x**-1.5 * math.exp(expo)
     if method == "conv":
         n = round(1.0 / nu) - 1
+        _check_scale("the stretched time (t/(n+1))^(n+1)", (n + 1) * math.log(t / (n + 1)))
         mus = [(j + 1) * nu for j in range(n)]
         return compose_density(-1.0, mus, x, TimeStretch(n + 1).phi(t))
     return _law_density(h_fox(nu), 1.0 / nu, x, t)

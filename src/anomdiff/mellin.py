@@ -4,7 +4,7 @@ Numerical Mellin transforms on (0, inf), the multiplicative (Mellin)
 convolution, and H-functions defined through a ratio of Gamma products:
 the transform kernel is evaluated directly and the function itself is
 recovered by quadrature along a vertical contour inside the fundamental
-strip, which is checked for poles in closed form, one test per factor.
+strip, which each kernel derives from its numerator factors.
 Kernels of products and powers of variates are formed from their factors'
 kernels (`fox_product`, `fox_power`).  The kernel's complex log-Gamma is
 the module's own (`_loggamma`, Stirling's series after an upward shift,
@@ -82,7 +82,7 @@ class MellinStrip:
 
     def __post_init__(self):
         if not self.a < self.b:
-            raise DomainError("strip requires a < b")
+            raise DomainError(f"the strip ({self.a}, {self.b}) is empty: it requires a < b")
 
     def contains(self, eta: float) -> bool:
         return self.a < eta < self.b
@@ -103,19 +103,6 @@ _POLE_TOL = 1e-9  # a Gamma argument this close to 0, -1, -2, ... is a pole
 def _gamma_pole(factors, eta: float):
     """The first Gamma argument c + d eta of `factors` at a pole, or None."""
     return next((c + d * eta for c, d in factors if _is_nonpositive_integer(c + d * eta, _POLE_TOL)), None)
-
-
-def _strip_pole(c: float, d: float, lo: float, hi: float):
-    """A pole eta = -(c + k)/d, k = 0, 1, ..., of G(c + d eta) in (lo, hi), or
-    None.  Of the non-positive integers in the image of (lo, hi) only the
-    largest below its upper end needs a test: 0 or ceil(upper) - 1.  Its
-    neighbours are tried too: `upper` is rounded, and the test is made in eta."""
-    upper = c + d * (hi if d > 0.0 else lo)
-    top = 0.0 if upper > 0.0 else float(math.ceil(upper) - 1)
-    for y in (top + 1.0, top, top - 1.0):
-        if y <= 0.0 and lo < (y - c) / d < hi:
-            return (y - c) / d
-    return None
 
 
 # B_2k / (2k (2k - 1)), k = 1..8: the coefficients of Stirling's series in 1/z
@@ -243,39 +230,37 @@ class FoxH:
 
         prefactor * prod_{(c, d) in num} G(c + d eta) / prod_{(c, d) in den} G(c + d eta)
 
-    together with a fundamental strip on which the kernel is pole free.  A
-    pair with d = 0 is a constant Gamma factor.  The law of a product of
-    independent variates has the product of their kernels (`fox_product`),
-    and the law of a power X^r the kernel of X at 1 + r(eta - 1)
-    (`fox_power`).  A numerator pole in the strip, less 1e-12 max(1, |end|)
-    at each finite end, raises PoleError.  `_stack` holds the factors as the
-    arrays `kernel` evaluates, and `_phase` the kernel's phase rate (see
-    `mellin_inverse`); both are derived from the fields, so equality and
-    hashing ignore them.  The hash is computed once, for the contour cache.
+    A pair with d = 0 is a constant Gamma factor.  The fundamental strip is
+    derived from the numerator, never declared: G(c + d eta) needs
+    c + d eta > 0, so `strip` runs from the largest -c/d over the factors
+    with d > 0 to the smallest over those with d < 0, and holds no numerator
+    pole.  An empty strip raises DomainError, and a constant numerator
+    factor on a pole PoleError.  The law of a product of independent
+    variates has the product of their kernels (`fox_product`), and the law
+    of a power X^r the kernel of X at 1 + r(eta - 1) (`fox_power`).
+    `strip`, `_stack` (the factors as the arrays `kernel` evaluates) and
+    `_phase` (the kernel's phase rate, see `mellin_inverse`) are derived
+    from the fields, so equality and hashing ignore them.  The hash is
+    computed once, for the contour cache.
     """
 
     num: tuple  # ((c, d), ...), each G(c + d eta)
     den: tuple
-    strip: MellinStrip
     prefactor: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "num", tuple((float(c), float(d)) for c, d in self.num))
         object.__setattr__(self, "den", tuple((float(c), float(d)) for c, d in self.den))
+        for c, d in self.num:
+            if not d and _is_nonpositive_integer(c, _POLE_TOL):  # infinite at every eta
+                raise PoleError(f"the constant factor G({c}) sits on a pole")
+        strip = MellinStrip(max((-c / d for c, d in self.num if d > 0.0), default=-math.inf),
+                            min((-c / d for c, d in self.num if d < 0.0), default=math.inf))
+        object.__setattr__(self, "strip", strip)
         object.__setattr__(self, "_stack", _factor_stack(self.num, self.den))
-        object.__setattr__(self, "_hash", hash((self.num, self.den, self.strip, self.prefactor)))
+        object.__setattr__(self, "_hash", hash((self.num, self.den, self.prefactor)))
         phase = [sum(d * math.log(abs(d)) for _, d in fs if d) for fs in (self.den, self.num)]
         object.__setattr__(self, "_phase", phase[0] - phase[1])
-        a, b = self.strip.a, self.strip.b
-        lo = a + 1e-12 * max(1.0, abs(a)) if math.isfinite(a) else a  # a pole on an end lies outside
-        hi = b - 1e-12 * max(1.0, abs(b)) if math.isfinite(b) else b
-        for c, d in self.num:
-            if d:
-                eta = _strip_pole(c, d, lo, hi)
-            else:  # a singular constant factor is infinite at every eta
-                eta = self.strip.default_abscissa() if _is_nonpositive_integer(c, _POLE_TOL) else None
-            if eta is not None:
-                raise PoleError(f"G({c} + {d} eta) has a pole at eta = {eta} in the strip ({a}, {b})")
 
     def __hash__(self):
         return self._hash
@@ -288,26 +273,24 @@ class FoxH:
 
 def fox_product(*ks: FoxH) -> FoxH:
     """Kernel of the product of independent variates with kernels `ks`: the
-    factor lists joined, the prefactors multiplied, the strips intersected."""
+    factor lists joined and the prefactors multiplied; the strip, derived
+    from the joined numerator, is the intersection of theirs."""
     return FoxH(
         tuple(f for k in ks for f in k.num),
         tuple(f for k in ks for f in k.den),
-        MellinStrip(max(k.strip.a for k in ks), min(k.strip.b for k in ks)),
         math.prod(k.prefactor for k in ks),
     )
 
 
 def fox_power(k: FoxH, r: float) -> FoxH:
     """Kernel of X^r for X with kernel `k`: k(1 + r(eta - 1)), so each
-    G(c + d eta) becomes G(c + d(1 - r) + d r eta) and the strip end e
-    becomes 1 + (e - 1)/r, the ends swapping for r < 0."""
+    G(c + d eta) becomes G(c + d(1 - r) + d r eta), which moves each strip
+    end e to 1 + (e - 1)/r, the ends swapping for r < 0."""
     if r == 0.0:
         raise DomainError("the power r must be non-zero")
-    ends = sorted(1.0 + (e - 1.0) / r for e in (k.strip.a, k.strip.b))
     return FoxH(
         tuple((c + d * (1.0 - r), d * r) for c, d in k.num),
         tuple((c + d * (1.0 - r), d * r) for c, d in k.den),
-        MellinStrip(*ends),
         k.prefactor,
     )
 
@@ -437,9 +420,7 @@ def _residue_terms(h: FoxH, side: str):
     log_a = math.log(abs(h.prefactor / d)) - sp.gammaln(k + 1.0)
     sign = math.copysign(1.0, h.prefactor) * (-1.0) ** k
     for cj, dj in rest:
-        y = cj + dj * eta
-        if np.any(_is_pole(y)):
-            raise UnsupportedMethodError("two numerator factors share a pole, so a residue is not simple")
+        y = cj + dj * eta  # never a pole: the strip lies between the two sides' poles
         log_a = log_a + sp.gammaln(y)
         sign = sign * sp.gammasgn(y)
     log_env = log_a

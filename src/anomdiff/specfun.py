@@ -77,13 +77,13 @@ def beta_fn(a: float, b: float) -> float:
 @lru_cache(maxsize=256)
 def _ml_fox(alpha: float, beta: float):
     """G(s) G(1 - s) / G(beta - alpha s) on (0, 1): its H-function at -z is E_{alpha,beta}(z)."""
-    return mellin.FoxH(((0.0, 1.0), (1.0, -1.0)), ((beta, -alpha),), mellin.MellinStrip(0.0, 1.0))
+    return mellin.FoxH(((0.0, 1.0), (1.0, -1.0)), ((beta, -alpha),))
 
 
 @lru_cache(maxsize=256)
 def _wright_fox(alpha: float, beta: float):
     """G(eta) / G(beta - alpha eta) on (0, inf): its H-function at -z is W_{alpha,beta}(z)."""
-    return mellin.FoxH(((0.0, 1.0),), ((beta, -alpha),), mellin.MellinStrip(0.0, math.inf))
+    return mellin.FoxH(((0.0, 1.0),), ((beta, -alpha),))
 
 
 def mittag_leffler(p: MLParams, z: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -530,6 +531,24 @@ class TestResolveMethod:
         for law, want in (("h", levy_density(1.0, 1.0)), ("l", half_gaussian(1.0, 1.0))):
             assert resolve_method(law, nu) == "closed" and resolve_method(law, nu, "closed") == "closed"
             assert self.DENSITY[law](nu, "auto") == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("call,scale", [
+    (lambda: h_density(0.25, 1.0, 1e-300, "foxh"), "time scale t^a"),
+    (lambda: h_density(0.25, 1.0, 1e300, "foxh"), "time scale t^a"),
+    (lambda: f_nu_beta(0.3, 0.9, 1.0, 1e300), "time scale t^a"),
+    (lambda: compose_density(1.0, [0.5, 1.0, 1.5], 1.0, 1e-320), "time scale t^a"),
+    (lambda: h_density(0.001, 1.0, 1.0), "stretched time"),
+    (lambda: h_density(0.25, 1.0, 1e-300), "stretched time"),
+    (lambda: h_density(0.02, 1.0, 1e10), "stretched time"),
+    (lambda: h_density(0.5, 1e-300, 1e10, "foxh"), "argument x/t^a"),
+], ids=["h-t1e-300", "h-t1e300", "f_nu_beta-t1e300", "compose-t1e-320", "h-nu0.001", "h-conv-t1e-300",
+        "h-conv-t1e10", "h-x1e-300"])
+def test_scale_outside_the_float_range_raises_convergence_error(call, scale):
+    # valid inputs at extreme t, which raised ZeroDivisionError, OverflowError,
+    # a bare ValueError or DomainError("x and t must be positive")
+    with pytest.raises(ConvergenceError, match=re.escape(scale)):
+        call()
 
 
 class TestTimeStretch:
