@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -51,13 +52,20 @@ def _parse_params(pairs):
     return params
 
 
-def _emit(path, text):
-    """Write text to the file at `path`, or to stdout when path is None."""
+@contextmanager
+def _output(path):
+    """The file at `path` opened for writing, or stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(path, text):
+    """Write text to the file at `path`, or to stdout when path is None."""
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _write_rows(path, header, rows, fmt="csv"):
@@ -140,6 +148,9 @@ def cmd_solve_bvp(params, seed, out, fmt):
     return 0
 
 
+_SAMPLE_BLOCK = 1 << 16  # draws formatted per write by `sample`
+
+
 def cmd_sample(params, seed, out, fmt):
     dist = params.get("dist")
     n = params.get("n", 1000)
@@ -160,9 +171,12 @@ def cmd_sample(params, seed, out, fmt):
         draws = montecarlo.sample_chain(chain, rng, size=n)
     else:
         raise DomainError("sample requires --param dist=G|E|subordinator|inverse|chain")
-    meta = f"# dist={dist} n={n} t={t:g} seed={seed}"
-    lines = [meta, "value"] + [f"{v:.12g}" for v in np.atleast_1d(draws)]
-    _emit(out, "\n".join(lines) + "\n")
+    draws = np.atleast_1d(draws)
+    with _output(out) as fh:
+        fh.write(f"# dist={dist} n={n} t={t:g} seed={seed}\nvalue\n")
+        # a block of draws at a time, not one string per draw for all n
+        for i in range(0, draws.size, _SAMPLE_BLOCK):
+            fh.write("".join(f"{v:.12g}\n" for v in draws[i:i + _SAMPLE_BLOCK].tolist()))
     return 0
 
 

@@ -412,6 +412,8 @@ def h_fox(nu: float) -> FoxH:
     product law closes its nu = 1 end without a branch of its own."""
     if nu == 1.0:
         return FoxH((), ())
+    if not math.isfinite(1.0 / nu):
+        raise DomainError(f"the stable law needs 1/nu, which overflows at nu={nu!r}")
     return FoxH(((1.0 / nu, -1.0 / nu),), ((1.0, -1.0),), 1.0 / nu)
 
 

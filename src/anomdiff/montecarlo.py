@@ -5,6 +5,11 @@ stable variates, inverse-subordinator draws, nested composition chains, and
 Kolmogorov-Smirnov distances for acceptance testing.  All samplers take an
 explicit generator; identical (seed, stream_id) pairs reproduce identical
 streams.
+
+Draws are formed in the generator's own buffers.  The Kanter sampler turns
+its uniforms into the draws a cache-sized block at a time, so a draw of n
+holds two arrays of n, the uniforms and the exponentials; the gamma-family
+samplers scale their gamma draws in place.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .laws import MuVector
+
+# entries per block of the Kanter loop: its temporaries stay in cache
+_BLOCK = 1 << 14
 
 __all__ = [
     "RngSpec",
@@ -50,6 +58,11 @@ def _rng_of(rng) -> np.random.Generator:
     return rng
 
 
+def _fits(t: np.ndarray, draws) -> bool:
+    """Whether a result of t and `draws` can be written into draws' buffer."""
+    return isinstance(draws, np.ndarray) and np.broadcast_shapes(t.shape, draws.shape) == draws.shape
+
+
 def sample_gamma(mu: float, t, rng, size=None) -> np.ndarray | float:
     """Draws with gamma density of shape mu and scale t (the marginal of the
     non-negative squared-radius diffusion started at zero).  `t` may be an
@@ -60,7 +73,11 @@ def sample_gamma(mu: float, t, rng, size=None) -> np.ndarray | float:
     t = np.asarray(t, dtype=float)
     if size is None and t.ndim > 0:
         size = t.shape
-    return rng.gamma(mu, 1.0, size=size) * t
+    g = rng.gamma(mu, 1.0, size=size)
+    if not _fits(t, g):
+        return g * t
+    g *= t
+    return g
 
 
 def sample_inv_gamma(mu: float, t, rng, size=None) -> np.ndarray | float:
@@ -72,7 +89,10 @@ def sample_inv_gamma(mu: float, t, rng, size=None) -> np.ndarray | float:
     t = np.asarray(t, dtype=float)
     if size is None and t.ndim > 0:
         size = t.shape
-    return t / rng.gamma(mu, 1.0, size=size)
+    g = rng.gamma(mu, 1.0, size=size)
+    if not _fits(t, g):
+        return t / g
+    return np.divide(t, g, out=g)
 
 
 def sample_subordinator(nu: float, t, rng, size=None) -> np.ndarray | float:
@@ -82,6 +102,10 @@ def sample_subordinator(nu: float, t, rng, size=None) -> np.ndarray | float:
     E unit exponential and
 
         A(u) = [sin(nu pi u)^nu sin((1-nu) pi u)^(1-nu) / sin(pi u)]^(1/(1-nu)).
+
+    U's buffer becomes log A(U) and then the draw, one block of _BLOCK
+    entries at a time, and E is drawn only once log A(U) is done: a draw of
+    n holds two arrays of n.
     """
     if not 0 < nu < 1:
         raise DomainError("nu must lie in (0, 1)")
@@ -89,24 +113,63 @@ def sample_subordinator(nu: float, t, rng, size=None) -> np.ndarray | float:
     t = np.asarray(t, dtype=float)
     if size is None and t.ndim > 0:
         size = t.shape
-    u = rng.uniform(0.0, 1.0, size=size)
-    e = rng.standard_exponential(size=size)
-    pu = math.pi * u
-    log_a = (
-        nu * np.log(np.sin(nu * pu))
-        + (1.0 - nu) * np.log(np.sin((1.0 - nu) * pu))
-        - np.log(np.sin(pu))
-    ) / (1.0 - nu)
-    core = np.exp((1.0 - nu) / nu * (log_a - np.log(e)))
-    return t ** (1.0 / nu) * core
+    x = np.asarray(rng.uniform(0.0, 1.0, size=size))
+    flat = x.reshape(-1)
+    # two block-sized scratch buffers for the whole loop: a fresh 128 KiB
+    # temporary per block would be mapped and unmapped each time
+    w, v = np.empty((2, min(flat.size, _BLOCK)))
+    for i in range(0, flat.size, _BLOCK):
+        b = flat[i:i + _BLOCK]
+        _kanter_log_a(nu, b, w[:b.size], v[:b.size])
+    e = np.asarray(rng.standard_exponential(size=size)).reshape(-1)
+    c = (1.0 - nu) / nu
+    p = 1.0 / nu
+    # a t of the draw's own shape is raised to 1/nu block by block too; one
+    # that broadcasts to a larger shape scales the draws after the loop
+    scale = t**p if t.ndim == 0 else None
+    t_flat = t.reshape(-1) if t.ndim and t.shape == x.shape else None
+    for i in range(0, flat.size, _BLOCK):
+        b = flat[i:i + _BLOCK]
+        eb = np.log(e[i:i + _BLOCK], out=e[i:i + _BLOCK])
+        np.subtract(b, eb, out=b)
+        np.multiply(b, c, out=b)
+        np.exp(b, out=b)
+        if scale is not None:
+            np.multiply(b, scale, out=b)
+        elif t_flat is not None:
+            np.multiply(b, t_flat[i:i + _BLOCK] ** p, out=b)
+    if scale is None and t_flat is None:
+        return t**p * x
+    return x if x.ndim else x[()]
+
+
+def _kanter_log_a(nu: float, u: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+    """Overwrite the uniforms u with log A(u), A as in sample_subordinator;
+    w and v are scratch buffers of u's length."""
+    np.multiply(u, math.pi, out=u)
+    np.multiply(u, nu, out=w)
+    np.log(np.sin(w, out=w), out=w)
+    np.multiply(w, nu, out=w)
+    np.multiply(u, 1.0 - nu, out=v)
+    np.log(np.sin(v, out=v), out=v)
+    np.multiply(v, 1.0 - nu, out=v)
+    np.add(w, v, out=w)
+    np.log(np.sin(u, out=u), out=u)
+    np.subtract(w, u, out=u)
+    np.divide(u, 1.0 - nu, out=u)
 
 
 def sample_inverse_subordinator(nu: float, t, rng, size=None) -> np.ndarray | float:
     """Inverse-subordinator draws via the hitting-time identity
-    P(L_t < x) = P(H_x > t) and self-similarity: L_t = (t / H_1)^nu in law."""
+    P(L_t < x) = P(H_x > t) and self-similarity: L_t = (t / H_1)^nu in law,
+    formed in H_1's buffer."""
     h1 = sample_subordinator(nu, 1.0, rng, size=size)
     t = np.asarray(t, dtype=float)
-    return (t / h1) ** nu
+    if not _fits(t, h1):
+        return (t / h1) ** nu
+    np.divide(t, h1, out=h1)
+    h1 **= nu
+    return h1
 
 
 @dataclass(frozen=True)
@@ -156,7 +219,8 @@ def sample_chain(chain: CompositionChain, rng, size=None) -> np.ndarray | float:
     s = np.full(size if size is not None else (), inner, dtype=float)
     for mu in reversed(mus):
         s = sample_gamma(mu, s, rng)
-    return s**nu
+    s **= nu
+    return s
 
 
 def ks_distance(samples, cdf) -> float:

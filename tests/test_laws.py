@@ -526,6 +526,12 @@ class TestResolveMethod:
         # then reject nu <= 0 and nan themselves
         assert resolve_method("h", nu) == "foxh" and resolve_method("l", nu) == "wright"
 
+    @pytest.mark.parametrize("method", ["auto", "foxh"])
+    def test_index_whose_reciprocal_overflows_is_named(self, method):
+        # it raised "the strip (-inf, nan) is empty", which names no cause
+        with pytest.raises(DomainError, match=re.escape("1/nu, which overflows at nu=1e-320")):
+            h_density(1e-320, 1.0, 1.0, method)
+
     def test_closed_within_round_off_of_one_half(self):
         nu = 0.5 + 1e-13
         for law, want in (("h", levy_density(1.0, 1.0)), ("l", half_gaussian(1.0, 1.0))):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from anomdiff.errors import ConvergenceError, DomainError
 from anomdiff.laws import MuVector, gg_density, GGLaw, h_density
 from anomdiff.montecarlo import (
+    _BLOCK,
     CompositionChain,
     RngSpec,
     ks_distance,
@@ -118,6 +120,91 @@ class TestInverseSampler:
         a = sample_inverse_subordinator(0.5, 3.0, RngSpec(1, 12), size=4 * N)
         b = 3.0**0.5 * sample_inverse_subordinator(0.5, 1.0, RngSpec(2, 12), size=4 * N)
         assert ks_two_sample(a, b) <= 0.005
+
+
+def kanter_whole_array(nu, t, spec, size=None):
+    """sample_subordinator written out on whole arrays, every temporary an
+    array of n: the reference its blocked, in-place loop must match bit for bit."""
+    rng = spec.generator()
+    t = np.asarray(t, dtype=float)
+    if size is None and t.ndim > 0:
+        size = t.shape
+    u = rng.uniform(0.0, 1.0, size=size)
+    e = rng.standard_exponential(size=size)
+    pu = math.pi * u
+    log_a = (
+        nu * np.log(np.sin(nu * pu))
+        + (1.0 - nu) * np.log(np.sin((1.0 - nu) * pu))
+        - np.log(np.sin(pu))
+    ) / (1.0 - nu)
+    return t ** (1.0 / nu) * np.exp((1.0 - nu) / nu * (log_a - np.log(e)))
+
+
+def same_draws(got, want):
+    return type(got) is type(want) and np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+class TestInPlaceDraws:
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("nu", [0.5, 1.0 / 3.0, 0.7])
+    def test_sized_draws_bit_identical(self, nu, n):
+        spec = RngSpec(4, n)
+        for t in (1.0, 2.5):
+            want = kanter_whole_array(nu, t, spec, size=n)
+            assert same_draws(sample_subordinator(nu, t, spec, size=n), want)
+            assert same_draws(sample_inverse_subordinator(nu, t, spec, size=n), (t / kanter_whole_array(nu, 1.0, spec, size=n)) ** nu)
+
+    @pytest.mark.parametrize("shape", [(2 * _BLOCK + 3,), (3, 7)])
+    def test_array_time_bit_identical(self, shape):
+        spec = RngSpec(5, 1)
+        t = np.linspace(0.2, 3.0, math.prod(shape)).reshape(shape)
+        for nu in (0.5, 0.3):
+            assert same_draws(sample_subordinator(nu, t, spec), kanter_whole_array(nu, t, spec))
+            assert same_draws(sample_inverse_subordinator(nu, t, spec), (t / kanter_whole_array(nu, 1.0, spec)) ** nu)
+        # a time that broadcasts against a larger draw
+        t = np.array([1.0, 2.0])
+        assert same_draws(sample_subordinator(0.5, t, spec, size=(3, 2)), kanter_whole_array(0.5, t, spec, size=(3, 2)))
+
+    def test_scalar_draw_bit_identical(self):
+        for seed in range(50):
+            spec = RngSpec(seed, 2)
+            got = sample_subordinator(0.4, 1.7, spec)
+            assert isinstance(got, np.float64) and same_draws(got, kanter_whole_array(0.4, 1.7, spec))
+            got = sample_inverse_subordinator(0.4, 1.7, spec)
+            assert isinstance(got, np.float64) and same_draws(got, (1.7 / kanter_whole_array(0.4, 1.0, spec)) ** 0.4)
+
+    def test_gamma_family_bit_identical(self):
+        spec = RngSpec(6, 3)
+        t = np.linspace(0.5, 2.0, 1000)
+        assert same_draws(sample_gamma(1.3, t, spec), spec.generator().gamma(1.3, 1.0, size=1000) * t)
+        assert same_draws(sample_inv_gamma(1.3, t, spec), t / spec.generator().gamma(1.3, 1.0, size=1000))
+        assert same_draws(sample_gamma(1.3, 2.0, spec), spec.generator().gamma(1.3, 1.0) * np.asarray(2.0))
+
+
+def traced_peak(fn) -> int:
+    """Bytes that `fn` allocates at its high-water, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestDrawMemory:
+    def setup_method(self):
+        # numpy.random's lazily imported modules land outside the count
+        sample_subordinator(0.5, 1.0, RngSpec(0, 1), size=1)
+
+    def test_kanter_draw_holds_two_arrays(self):
+        n = 400_000
+        peak = traced_peak(lambda: sample_subordinator(0.5, 1.0, RngSpec(0, 1), size=n))
+        assert peak <= 2 * 8 * n + 2**20
+
+    def test_kanter_laplace_row_holds_one_sample(self):
+        # two samples of 10^6, each held with its exponentials, read about 54 MB
+        assert traced_peak(lambda: verify.run_suite("mc.kanter_laplace")) <= 20e6
 
 
 class TestChains:
